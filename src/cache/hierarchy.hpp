@@ -12,10 +12,9 @@
 //     that threads a spec through defaults to it, keeping the golden suite
 //     byte-identical.
 //   * CacheLevel — one level of the materialized hierarchy: a SetAssocCache
-//     plus a next_level pointer. access() chains misses downward and reports
-//     the hit depth; prefill() on a resident line is a pure recency touch of
-//     this level only (the co-run collapse replays last-touch order through
-//     it, and an L1 hit never generates downstream traffic); contains()
+//     plus a next_level pointer (at most one level below). access() chains
+//     a miss to the next level and reports the hit depth; prefill() on a
+//     resident line is a pure recency touch of this level only; contains()
 //     probes this level only. Per-level hit/miss/evict counters and AMAT
 //     come from the underlying cache.
 //   * CacheHierarchy — the runtime instantiation for one simulation: under a
@@ -94,27 +93,31 @@ class CacheLevel {
  public:
   explicit CacheLevel(const CacheGeometry& geom, double hit_cycles = 1.0,
                       CacheLevel* next = nullptr)
-      : cache_(geom), hit_cycles_(hit_cycles), next_(next) {}
+      : cache_(geom), hit_cycles_(hit_cycles), next_(next) {
+    CL_CHECK_MSG(next == nullptr || next->next_ == nullptr,
+                 "cache chains are at most two levels deep");
+  }
 
   CacheLevel(const CacheLevel&) = delete;
   CacheLevel& operator=(const CacheLevel&) = delete;
 
   /// Touches `line`, chaining a miss to the next level. Returns the hit
   /// depth: 0 = hit here, 1 = missed here and hit (or installed from) the
-  /// next level, and so on; a chain of n levels returns n for a fetch that
-  /// went all the way to memory. Every traversed level installs the line.
+  /// next level, 2 = missed both and went to memory. Every traversed level
+  /// installs the line. Chains are at most two deep (HierarchySpec has no
+  /// L3), so the chain is walked inline rather than by recursion.
   std::uint32_t access(std::uint64_t line) {
     if (cache_.access(line)) return 0;
-    return next_ != nullptr ? 1 + next_->access(line) : 1;
+    if (next_ == nullptr) return 1;
+    return next_->cache_.access(line) ? 1 : 2;
   }
 
   /// Prefetch fill (uncounted). A resident line is a pure recency touch of
-  /// this level — no downstream traffic, which is what keeps the co-run
-  /// collapse's recency replay exact. A missing line installs here and
-  /// prefills the chain below. Returns true if the line was resident here.
+  /// this level — no downstream traffic. A missing line installs here and
+  /// prefills the level below. Returns true if the line was resident here.
   bool prefill(std::uint64_t line) {
     if (cache_.prefill(line)) return true;
-    if (next_ != nullptr) next_->prefill(line);
+    if (next_ != nullptr) next_->cache_.prefill(line);
     return false;
   }
 
@@ -147,6 +150,9 @@ class CacheLevel {
     return cache_.geometry();
   }
   [[nodiscard]] const SetAssocCache& cache() const { return cache_; }
+  /// The level's cache itself, for simulators that walk the chain with the
+  /// hierarchy's shape fixed at compile time.
+  [[nodiscard]] SetAssocCache& cache() { return cache_; }
 
   void reset_stats() { cache_.reset_stats(); }
   /// Empties this level only (counters preserved, like SetAssocCache).

@@ -1,8 +1,5 @@
 #include "cache/icache_sim.hpp"
 
-#include <algorithm>
-#include <utility>
-
 #include "support/registry.hpp"
 #include "support/rng.hpp"
 #include "support/trace_recorder.hpp"
@@ -11,228 +8,212 @@ namespace codelayout {
 namespace {
 
 /// One fetch stream: a program replaying its block trace under a layout.
-/// The replay cursor walks the trace's run storage directly: (run index,
-/// offset within the run), so no flat event vector is ever materialized.
+/// The co-run and straight-line solo replays walk the trace's flat view
+/// (Trace::symbols()); the run-aware solo replay walks its runs instead.
 /// All per-block facts come from the FetchPlan — one flat load per event.
+struct Stream {
+  const BlockPlan* plan = nullptr;
+  std::span<const Symbol> symbols;
+  std::size_t pos = 0;
+  std::uint64_t base = 0;  ///< line-id namespace of this address space
+  SetAssocCache* l1 = nullptr;
+  Rng rng;
+  double stall = 0.0;   ///< fetch-slot debt from demand misses
+  double credit = 0.0;  ///< co-run: fractional steps owed this stream
+  double speed = 1.0;   ///< co-run: blocks per round
+  SimResult stats;
+};
+
+/// What every stream of one simulation shares.
+struct Shared {
+  SetAssocCache* l2 = nullptr;  ///< the shared L2; null for a flat spec
+  Bernoulli wrong_path;
+  double miss_stall = 0.0;  ///< debt per demand miss (0: never stall)
+};
+
+Stream make_stream(const FetchPlan& plan, const Trace& trace,
+                   std::uint64_t line_namespace, const SimOptions& options,
+                   std::uint64_t rng_stream, CacheLevel& front) {
+  CL_CHECK(trace.is_block());
+  CL_CHECK(!trace.empty());
+  CL_CHECK_MSG(plan.line_bytes() == options.hierarchy.l1.line_bytes,
+               "fetch plan was built for a different line size");
+  CL_CHECK_MSG(plan.block_count() >= trace.symbol_space(),
+               "fetch plan does not cover the trace's block space");
+  Stream s;
+  s.plan = plan.blocks().data();
+  s.base = line_namespace;
+  s.l1 = &front.cache();
+  s.rng = Rng(options.seed).fork(rng_stream);
+  return s;
+}
+
+Shared shared_state(CacheHierarchy& hier, const SimOptions& options,
+                   double miss_stall) {
+  CacheLevel* l2 = hier.shared_level();
+  return Shared{l2 != nullptr ? &l2->cache() : nullptr,
+                Bernoulli(options.wrong_path_rate), miss_stall};
+}
+
+/// The per-event fetch. The measurement flavour (wrong-path fetches,
+/// next-line prefetch) and the hierarchy shape (L2 present) are template
+/// flags, chosen once per simulation by with_kernel(), so the inner loop
+/// carries no flavour branches and the cache probes inline.
 ///
-/// Streams fetch through a CacheLevel front. Under the flat default the
-/// front has no next level, access() returns 0/1, and the accounting is the
-/// historical single-cache behaviour bit for bit; with an L2 below, demand
-/// misses additionally record L2 probes/misses by hit depth.
-class FetchStream {
- public:
-  FetchStream(const FetchPlan& plan, const Trace& trace,
-              std::uint64_t line_namespace, const SimOptions& options,
-              std::uint64_t rng_stream)
-      : plan_(plan.blocks().data()),
-        runs_(trace.runs()),
-        namespace_(line_namespace),
-        options_(options),
-        track_l2_(options.hierarchy.multi_level()),
-        rng_(Rng(options.seed).fork(rng_stream)) {
-    CL_CHECK(trace.is_block());
-    CL_CHECK(!trace.empty());
-    CL_CHECK_MSG(plan.line_bytes() == options.hierarchy.l1.line_bytes,
-                 "fetch plan was built for a different line size");
-    CL_CHECK_MSG(plan.block_count() >= trace.symbol_space(),
-                 "fetch plan does not cover the trace's block space");
+/// Hierarchy topology: a flat spec shares the single L1 between all streams
+/// (the paper's SMT model); with an L2 each stream fetches through a private
+/// L1 and a front miss continues to the shared L2 — demand misses, wrong-path
+/// misses and prefetch fills alike, with only demand traffic attributed to
+/// `l2_probes`/`l2_misses`.
+template <bool kWrongPath, bool kPrefetch, bool kL2>
+struct Kernel {
+  /// One execution of block `bp`: its demand lines (a miss accrues stall
+  /// debt and prefetches the next line), then, past a conditional branch,
+  /// the speculative fetch of the not-taken path's first line.
+  static void fetch(Stream& s, const BlockPlan& bp, const Shared& sh) {
+    ++s.stats.blocks;
+    s.stats.instructions += bp.instr_count;
+    s.stats.overhead_instructions += bp.overhead_instrs;
+    s.stats.line_probes += bp.line_count;
+    const std::uint64_t first = s.base + bp.first_line;
+    for (std::uint32_t i = 0; i < bp.line_count; ++i) {
+      const std::uint64_t line = first + i;
+      if (s.l1->access(line)) continue;
+      ++s.stats.demand_misses;
+      if constexpr (kL2) {
+        ++s.stats.l2_probes;
+        if (!sh.l2->access(line)) ++s.stats.l2_misses;
+      }
+      s.stall += sh.miss_stall;
+      if constexpr (kPrefetch) {
+        if (!s.l1->prefill(line + 1)) {
+          if constexpr (kL2) sh.l2->prefill(line + 1);
+        }
+      }
+    }
+    if constexpr (kWrongPath) {
+      if (bp.branchy != 0 && sh.wrong_path(s.rng)) {
+        wrong_path(s, first + bp.line_count, sh);
+      }
+    }
   }
 
-  /// Executes the next block against `cache`; wraps at the trace end.
-  /// Returns true when this step consumed the last event of the trace.
-  /// When `stall_on_miss` is set, demand misses accrue fetch-slot debt and
-  /// subsequent step() calls are consumed by stalling instead of fetching.
-  bool step(CacheLevel& cache, bool stall_on_miss = false) {
-    if (stall_on_miss && stall_debt_ >= 1.0) {
-      stall_debt_ -= 1.0;
+  static void wrong_path(Stream& s, std::uint64_t line, const Shared& sh) {
+    if (s.l1->access(line)) return;
+    ++s.stats.wrong_path_misses;
+    if constexpr (kL2) sh.l2->access(line);
+  }
+
+  /// One fetch slot: pays down a whole block of stall debt, or executes the
+  /// next block. Returns true when the step consumed the trace's last event
+  /// (the stream wraps to its start).
+  static bool step(Stream& s, const Shared& sh) {
+    if (s.stall >= 1.0) {
+      s.stall -= 1.0;
       return false;
     }
-    const BlockPlan& bp = plan_[runs_[run_idx_].symbol];
-
-    ++stats_.blocks;
-    stats_.instructions += bp.instr_count;
-    stats_.overhead_instructions += bp.overhead_instrs;
-    for (std::uint32_t i = 0; i < bp.line_count; ++i) {
-      const std::uint64_t line = namespace_ + bp.first_line + i;
-      ++stats_.line_probes;
-      const std::uint32_t depth = cache.access(line);
-      if (depth != 0) {
-        ++stats_.demand_misses;
-        if (track_l2_) {
-          ++stats_.l2_probes;
-          if (depth > 1) ++stats_.l2_misses;
-        }
-        if (stall_on_miss) stall_debt_ += options_.miss_stall_blocks;
-        if (options_.next_line_prefetch) cache.prefill(line + 1);
-      }
-    }
-    // Speculative wrong-path fetch past a conditional branch: the fetch unit
-    // runs ahead on the not-taken path before the branch resolves.
-    if (options_.wrong_path_rate > 0.0 && bp.branchy != 0 &&
-        rng_.chance(options_.wrong_path_rate)) {
-      const std::uint64_t line = namespace_ + bp.first_line + bp.line_count;
-      if (cache.access(line) != 0) ++stats_.wrong_path_misses;
-    }
-
-    return advance(1);
-  }
-
-  /// Solo fast path: consumes the rest of the current run in one shot — one
-  /// set of tag probes plus counted hits. Returns true when this call
-  /// consumed the last event of the trace.
-  ///
-  /// Collapse argument: the run touches line ids [first_line, first_line +
-  /// line_count] (demand lines plus the wrong-path line plus any next-line
-  /// prefill target), i.e. line_count + 1 consecutive ids. When that fits in
-  /// the front level's set count, every id maps to a distinct set, so
-  /// nothing the run accesses can evict the run's own lines — after the
-  /// first iteration all demand probes of iterations 2..r are guaranteed
-  /// front-level hits (generating no downstream traffic), and the per-set
-  /// LRU recency order after the run matches flat replay (at most one of the
-  /// run's lines per set, and nothing else enters those sets meanwhile).
-  /// Wrong-path coin flips still happen once per event, keeping the RNG
-  /// stream — and therefore every later draw — identical to flat replay.
-  /// Only usable for solo simulation: co-run interleaves streams per event.
-  bool step_run(CacheLevel& cache) {
-    const Run run = runs_[run_idx_];
-    const std::uint64_t count = run.length - run_pos_;
-    const BlockPlan& bp = plan_[run.symbol];
-
-    if (count > 1 &&
-        bp.line_count + std::uint64_t{1} > options_.hierarchy.l1.sets()) {
-      // Degenerate geometry (block wider than the set array): the run's own
-      // lines can conflict with each other, so replay it per event.
-      ++fallback_runs_;
-      bool wrapped = false;
-      for (std::uint64_t i = 0; i < count; ++i) wrapped = step(cache);
-      return wrapped;
-    }
-    ++fast_runs_;
-
-    // First iteration: the only one that can take demand misses.
-    ++stats_.blocks;
-    stats_.instructions += bp.instr_count;
-    stats_.overhead_instructions += bp.overhead_instrs;
-    for (std::uint32_t i = 0; i < bp.line_count; ++i) {
-      const std::uint64_t line = namespace_ + bp.first_line + i;
-      ++stats_.line_probes;
-      const std::uint32_t depth = cache.access(line);
-      if (depth != 0) {
-        ++stats_.demand_misses;
-        if (track_l2_) {
-          ++stats_.l2_probes;
-          if (depth > 1) ++stats_.l2_misses;
-        }
-        if (options_.next_line_prefetch) cache.prefill(line + 1);
-      }
-    }
-    const bool branchy = options_.wrong_path_rate > 0.0 && bp.branchy != 0;
-    const std::uint64_t wrong_line = namespace_ + bp.first_line + bp.line_count;
-    if (branchy && rng_.chance(options_.wrong_path_rate)) {
-      if (cache.access(wrong_line) != 0) ++stats_.wrong_path_misses;
-    }
-
-    // Iterations 2..count: bulk-counted hits; only the wrong-path draws
-    // remain per event.
-    const std::uint64_t rest = count - 1;
-    stats_.blocks += rest;
-    stats_.instructions += rest * bp.instr_count;
-    stats_.overhead_instructions += rest * bp.overhead_instrs;
-    stats_.line_probes += rest * bp.line_count;
-    if (branchy) {
-      for (std::uint64_t i = 0; i < rest; ++i) {
-        if (rng_.chance(options_.wrong_path_rate)) {
-          if (cache.access(wrong_line) != 0) ++stats_.wrong_path_misses;
-        }
-      }
-    }
-
-    return advance(count);
-  }
-
-  // --- co-run collapse hooks (DESIGN.md §11) ---
-
-  /// The plan entry for the block the cursor currently points at.
-  [[nodiscard]] const BlockPlan& current_plan() const {
-    return plan_[runs_[run_idx_].symbol];
-  }
-  /// Events left in the current run (>= 1 while the trace is live).
-  [[nodiscard]] std::uint64_t remaining_in_run() const {
-    return runs_[run_idx_].length - run_pos_;
-  }
-  [[nodiscard]] bool stalled() const { return stall_debt_ >= 1.0; }
-  [[nodiscard]] std::uint64_t line_base() const { return namespace_; }
-  /// One wrong-path coin flip, exactly as a per-event step would draw it.
-  bool draw_wrong_path() { return rng_.chance(options_.wrong_path_rate); }
-
-  /// Applies a collapse window's outcome for this stream: `n` block
-  /// executions of the current block, every probe a hit, no stall change.
-  /// The caller replays recency separately. Returns true on trace wrap.
-  bool apply_bulk(std::uint64_t n) {
-    const BlockPlan& bp = current_plan();
-    stats_.blocks += n;
-    stats_.instructions += n * bp.instr_count;
-    stats_.overhead_instructions += n * bp.overhead_instrs;
-    stats_.line_probes += n * bp.line_count;
-    return advance(n);
-  }
-
-  [[nodiscard]] const SimResult& stats() const { return stats_; }
-  /// Runs consumed by the O(1) collapse vs replayed per event (degenerate
-  /// geometry). Solo fast path only; the co-run collapse counts rounds at
-  /// the engine level instead (CorunStats).
-  [[nodiscard]] std::uint64_t fast_runs() const { return fast_runs_; }
-  [[nodiscard]] std::uint64_t fallback_runs() const { return fallback_runs_; }
-
- private:
-  /// Moves the run cursor forward `n` events; `n` must not overrun the
-  /// current run. Returns true when the trace wrapped.
-  bool advance(std::uint64_t n) {
-    run_pos_ += n;
-    CL_DCHECK(run_pos_ <= runs_[run_idx_].length);
-    if (run_pos_ == runs_[run_idx_].length) {
-      run_pos_ = 0;
-      if (++run_idx_ == runs_.size()) {
-        run_idx_ = 0;
-        return true;
-      }
+    fetch(s, s.plan[s.symbols[s.pos]], sh);
+    if (++s.pos == s.symbols.size()) {
+      s.pos = 0;
+      return true;
     }
     return false;
   }
 
-  const BlockPlan* plan_;
-  std::span<const Run> runs_;
-  std::uint64_t namespace_;
-  SimOptions options_;
-  bool track_l2_;
-  Rng rng_;
-  std::size_t run_idx_ = 0;
-  std::uint64_t run_pos_ = 0;
-  double stall_debt_ = 0.0;
-  std::uint64_t fast_runs_ = 0;
-  std::uint64_t fallback_runs_ = 0;
-  SimResult stats_;
+  /// Round-robin co-run until stream 0 finishes its trace; returns the
+  /// number of rounds. Each round stream 0 takes one fetch slot and every
+  /// other stream the whole slots its credit has accrued.
+  static std::uint64_t corun(std::span<Stream> streams, const Shared& sh) {
+    std::uint64_t rounds = 0;
+    for (;;) {
+      ++rounds;
+      const bool done = step(streams[0], sh);
+      for (std::size_t i = 1; i < streams.size(); ++i) {
+        Stream& s = streams[i];
+        s.credit += s.speed;
+        while (s.credit >= 1.0) {
+          step(s, sh);
+          s.credit -= 1.0;
+        }
+      }
+      if (done) return rounds;
+    }
+  }
+
+  /// Straight-line solo replay: the co-run step at one stream with no stall.
+  static void solo(Stream& s, const Shared& sh) {
+    while (!step(s, sh)) {
+    }
+  }
+
+  /// Run-aware solo replay: each run of r executions of one block costs one
+  /// fetch() plus counted hits. The run touches line ids [first_line,
+  /// first_line + line_count] (demand lines plus the wrong-path line plus
+  /// any next-line prefill target), i.e. line_count + 1 consecutive ids.
+  /// When that fits in the L1's set count, every id maps to a distinct set,
+  /// so nothing the run accesses can evict the run's own lines — after the
+  /// first execution every demand probe is an L1 hit (no downstream
+  /// traffic), and the per-set LRU order after the run matches per-event
+  /// replay (at most one of the run's lines per set, and nothing else
+  /// enters those sets meanwhile). Wrong-path coin flips still happen once
+  /// per event, keeping the RNG stream identical to per-event replay. A run
+  /// of a block wider than the set array is replayed per event.
+  static void solo_runs(Stream& s, std::span<const Run> runs,
+                        std::uint64_t sets, const Shared& sh,
+                        std::uint64_t& fast_runs,
+                        std::uint64_t& fallback_runs) {
+    for (const Run& run : runs) {
+      const BlockPlan& bp = s.plan[run.symbol];
+      if (run.length > 1 && bp.line_count + std::uint64_t{1} > sets) {
+        ++fallback_runs;
+        for (std::uint32_t i = 0; i < run.length; ++i) fetch(s, bp, sh);
+        continue;
+      }
+      ++fast_runs;
+      fetch(s, bp, sh);
+      const std::uint64_t rest = run.length - 1;
+      s.stats.blocks += rest;
+      s.stats.instructions += rest * bp.instr_count;
+      s.stats.overhead_instructions += rest * bp.overhead_instrs;
+      s.stats.line_probes += rest * bp.line_count;
+      if constexpr (kWrongPath) {
+        if (bp.branchy != 0) {
+          const std::uint64_t line = s.base + bp.first_line + bp.line_count;
+          for (std::uint64_t i = 0; i < rest; ++i) {
+            if (sh.wrong_path(s.rng)) wrong_path(s, line, sh);
+          }
+        }
+      }
+    }
+  }
 };
 
-/// Shared N-way co-run engine: round-robin interleaving with the run-aware
-/// collapse. Party 0 is the measured stream (one block per round, ends the
-/// simulation when its trace wraps); parties 1..P-1 run at fractional
-/// `speeds` through per-party credit accumulators. Statistics, stall debt,
-/// credit values, and every RNG stream are bit-identical to pure per-event
-/// replay — the exactness argument lives in DESIGN.md §11.
-///
-/// Hierarchy topology: a flat spec shares the single L1 between all parties
-/// (the paper's SMT model); with an L2 each party fetches through a private
-/// L1 front and sharing moves to the L2. The collapse stays exact either
-/// way: its residency precondition is checked at each party's front level,
-/// so every probe inside a window is a front-level hit — no downstream
-/// traffic exists to skip — and the recency replay's prefill() of a
-/// resident line touches only the front level.
-std::vector<SimResult> run_corun_engine(std::span<const PlannedParty> parties,
-                                        const SimOptions& options,
-                                        CorunStats* stats_out) {
+/// Calls `fn` with the Kernel instance for `options`' flavour and shape.
+template <typename Fn>
+decltype(auto) with_kernel(const SimOptions& options, Fn&& fn) {
+  const bool wrong = options.wrong_path_rate > 0.0;
+  const bool prefetch = options.next_line_prefetch;
+  const bool l2 = options.hierarchy.multi_level();
+  switch ((wrong ? 4 : 0) | (prefetch ? 2 : 0) | (l2 ? 1 : 0)) {
+    case 0: return fn(Kernel<false, false, false>{});
+    case 1: return fn(Kernel<false, false, true>{});
+    case 2: return fn(Kernel<false, true, false>{});
+    case 3: return fn(Kernel<false, true, true>{});
+    case 4: return fn(Kernel<true, false, false>{});
+    case 5: return fn(Kernel<true, false, true>{});
+    case 6: return fn(Kernel<true, true, false>{});
+    default: return fn(Kernel<true, true, true>{});
+  }
+}
+
+/// Shared N-way co-run: party 0 is the measured stream (one block per
+/// round, ends the simulation when its trace wraps); parties 1..P-1 run at
+/// fractional `speed`s through per-party credit accumulators.
+std::vector<SimResult> run_corun(std::span<const CorunSpec::Party> parties,
+                                 const SimOptions& options,
+                                 CorunStats* stats_out) {
   CL_CHECK_MSG(parties.size() >= 2, "need at least two co-runners");
-  for (const PlannedParty& p : parties) {
+  for (const CorunSpec::Party& p : parties) {
     CL_CHECK(p.plan && p.trace);
     CL_CHECK(p.speed > 0.0);
   }
@@ -243,210 +224,31 @@ std::vector<SimResult> run_corun_engine(std::span<const PlannedParty> parties,
 
   const std::size_t P = parties.size();
   CacheHierarchy hier(options.hierarchy, P);
-  std::vector<FetchStream> streams;
+  std::vector<Stream> streams;
   streams.reserve(P);
-  std::vector<double> speeds(P, 1.0);
-  std::vector<double> credit(P, 0.0);
   for (std::size_t i = 0; i < P; ++i) {
     // Disjoint line-id namespaces: P address spaces sharing one cache.
-    streams.emplace_back(*parties[i].plan, *parties[i].trace,
-                         static_cast<std::uint64_t>(i) << 40, options,
-                         /*rng_stream=*/i + 1);
-    speeds[i] = parties[i].speed;
+    streams.push_back(make_stream(*parties[i].plan, *parties[i].trace,
+                                  static_cast<std::uint64_t>(i) << 40, options,
+                                  /*rng_stream=*/i + 1, hier.front(i)));
+    streams.back().symbols = parties[i].trace->symbols();
+    streams.back().speed = parties[i].speed;
   }
+  const Shared shared = shared_state(hier, options, options.miss_stall_blocks);
 
-  const bool wrong_path = options.wrong_path_rate > 0.0;
   CorunStats stats;
-
-  // Collapse-window scratch (sized once; reused every window attempt).
-  std::vector<double> next_credit(P, 0.0);
-  std::vector<std::uint32_t> round_steps(P, 0);
-  std::vector<std::uint64_t> remaining(P, 0);
-  std::vector<std::uint64_t> window_steps(P, 0);
-  std::vector<std::uint64_t> last_span(P, 0);
-  std::vector<std::int64_t> last_wrong(P, 0);
-  std::vector<std::uint8_t> branchy(P, 0);
-  // A recency-replay unit: one stream's final demand span (even keys) or
-  // final successful wrong-path fetch (odd keys), ordered by the global step
-  // ordinal it happened at.
-  struct Unit {
-    std::uint64_t key;
-    std::uint32_t party;
-    bool wrong;
-  };
-  std::vector<Unit> units;
-  units.reserve(2 * P);
-
-  for (;;) {
-    // ---- Try to open a collapse window over the streams' current runs ----
-    // Cheap gate first: nobody stalled, and at least two full rounds fit
-    // inside every stream's current run (peer i takes at most
-    // floor(credit + 2*speed) steps over two rounds).
-    bool collapsible = true;
-    for (std::size_t i = 0; i < P; ++i) {
-      if (streams[i].stalled()) {
-        collapsible = false;
-        break;
-      }
-      remaining[i] = streams[i].remaining_in_run();
-      const double need = i == 0 ? 2.0 : credit[i] + 2.0 * speeds[i];
-      if (static_cast<double>(remaining[i]) < need) {
-        collapsible = false;
-        break;
-      }
-    }
-    if (collapsible) {
-      // Residency precondition: every demand line of every stream's current
-      // block resident in that stream's front level, plus the wrong-path
-      // line for blocks that can draw one. Then every probe in the window
-      // hits at the front, nothing is installed or evicted anywhere in the
-      // hierarchy, and debt stays constant (contains() never perturbs
-      // state).
-      for (std::size_t i = 0; i < P && collapsible; ++i) {
-        const CacheLevel& front = hier.front(i);
-        const BlockPlan& bp = streams[i].current_plan();
-        const std::uint64_t base = streams[i].line_base() + bp.first_line;
-        for (std::uint32_t l = 0; l < bp.line_count; ++l) {
-          if (!front.contains(base + l)) {
-            collapsible = false;
-            break;
-          }
-        }
-        branchy[i] = wrong_path && bp.branchy != 0 ? 1 : 0;
-        if (collapsible && branchy[i] != 0 &&
-            !front.contains(base + bp.line_count)) {
-          collapsible = false;
-        }
-      }
-    }
-    if (collapsible) {
-      // ---- Replay rounds in bulk: credit arithmetic and RNG draws happen
-      // exactly as per-event replay would issue them; only the cache probes
-      // (all provably hits) are skipped. A round is rejected — and the
-      // window closed — when it would overrun any stream's current run.
-      std::uint64_t seq = 0;
-      std::uint64_t rounds = 0;
-      std::fill(window_steps.begin(), window_steps.end(), 0);
-      std::fill(last_wrong.begin(), last_wrong.end(), -1);
-      while (window_steps[0] < remaining[0]) {
-        bool fits = true;
-        for (std::size_t i = 1; i < P; ++i) {
-          double c = credit[i] + speeds[i];
-          std::uint32_t n = 0;
-          while (c >= 1.0) {
-            c -= 1.0;
-            ++n;
-          }
-          next_credit[i] = c;
-          round_steps[i] = n;
-          if (window_steps[i] + n > remaining[i]) {
-            fits = false;
-            break;
-          }
-        }
-        if (!fits) break;
-        // Commit the round: per-stream draws in step order (cross-stream
-        // draw order is irrelevant — the RNG streams are independent).
-        ++seq;
-        ++window_steps[0];
-        last_span[0] = seq;
-        if (branchy[0] != 0 && streams[0].draw_wrong_path()) {
-          last_wrong[0] = static_cast<std::int64_t>(seq);
-        }
-        for (std::size_t i = 1; i < P; ++i) {
-          credit[i] = next_credit[i];
-          const std::uint32_t n = round_steps[i];
-          if (n == 0) continue;
-          if (branchy[i] == 0) {
-            // No draws to issue: the stream's last step this round lands at
-            // ordinal seq + n either way.
-            seq += n;
-            window_steps[i] += n;
-            last_span[i] = seq;
-          } else {
-            for (std::uint32_t s = 0; s < n; ++s) {
-              ++seq;
-              ++window_steps[i];
-              last_span[i] = seq;
-              if (streams[i].draw_wrong_path()) {
-                last_wrong[i] = static_cast<std::int64_t>(seq);
-              }
-            }
-          }
-        }
-        ++rounds;
-      }
-      if (rounds > 0) {
-        stats.rounds_fast += rounds;
-        ++stats.windows;
-        // Reconstruct per-set recency exactly: only each line's *last* touch
-        // in the window determines its final rank, so re-touch each stream's
-        // span (and last successful wrong-path line) via prefill() in global
-        // last-touch order. Keys interleave span touches (2*seq) with wrong
-        // touches (2*seq+1): within one step the span precedes the draw.
-        // Every replayed line is resident in its party's front level, so
-        // prefill() is a pure recency touch of that level — no chaining.
-        units.clear();
-        for (std::size_t i = 0; i < P; ++i) {
-          if (window_steps[i] == 0) continue;
-          units.push_back(
-              Unit{2 * last_span[i], static_cast<std::uint32_t>(i), false});
-          if (last_wrong[i] >= 0) {
-            units.push_back(
-                Unit{2 * static_cast<std::uint64_t>(last_wrong[i]) + 1,
-                     static_cast<std::uint32_t>(i), true});
-          }
-        }
-        std::sort(units.begin(), units.end(),
-                  [](const Unit& a, const Unit& b) { return a.key < b.key; });
-        for (const Unit& u : units) {
-          CacheLevel& front = hier.front(u.party);
-          const BlockPlan& bp = streams[u.party].current_plan();
-          const std::uint64_t base = streams[u.party].line_base() + bp.first_line;
-          if (u.wrong) {
-            front.prefill(base + bp.line_count);
-          } else {
-            for (std::uint32_t l = 0; l < bp.line_count; ++l) {
-              front.prefill(base + l);
-            }
-          }
-        }
-        bool done = false;
-        for (std::size_t i = 0; i < P; ++i) {
-          if (window_steps[i] == 0) continue;
-          const bool wrapped = streams[i].apply_bulk(window_steps[i]);
-          if (i == 0) done = wrapped;
-        }
-        if (done) break;
-        continue;
-      }
-      // rounds == 0: a run boundary blocks even one full round — fall back.
-    }
-
-    // ---- Per-event round: the reference interleaving ----
-    ++stats.rounds_fallback;
-    const bool done = streams[0].step(hier.front(0), /*stall_on_miss=*/true);
-    for (std::size_t i = 1; i < P; ++i) {
-      credit[i] += speeds[i];
-      while (credit[i] >= 1.0) {
-        streams[i].step(hier.front(i), /*stall_on_miss=*/true);
-        credit[i] -= 1.0;
-      }
-    }
-    if (done) break;
-  }
-
+  stats.rounds = with_kernel(options, [&](auto kernel) {
+    return decltype(kernel)::corun(streams, shared);
+  });
   MetricsRegistry& registry = MetricsRegistry::global();
   if (registry.enabled()) {
-    registry.counter("cache.corun.rounds_fast").add(stats.rounds_fast);
-    registry.counter("cache.corun.rounds_fallback").add(stats.rounds_fallback);
-    registry.counter("cache.corun.windows").add(stats.windows);
+    registry.counter("cache.corun.rounds").add(stats.rounds);
   }
   if (stats_out) *stats_out = stats;
 
   std::vector<SimResult> results;
-  results.reserve(streams.size());
-  for (const FetchStream& s : streams) results.push_back(s.stats());
+  results.reserve(P);
+  for (const Stream& s : streams) results.push_back(s.stats);
   return results;
 }
 
@@ -484,76 +286,37 @@ double amat(const SimResult& sim, const HierarchySpec& hierarchy) {
          mr1 * (hierarchy.l2_hit_cycles + mr2 * hierarchy.memory_cycles);
 }
 
-namespace {
-
-/// Straight-line solo replay: the per-event loop of FetchStream::step()
-/// unrolled over the flat SoA view — no run-cursor bookkeeping, one plan
-/// load and a tight probe loop per event. The probe sequence, prefills, and
-/// wrong-path draws (Rng(seed).fork(1), namespace 0) are exactly step()'s,
-/// so the result is bit-identical to the run-collapse replay.
-SimResult solo_flat(const FetchPlan& plan, const Trace& trace,
-                    const SimOptions& options) {
-  CL_CHECK(trace.is_block());
-  CL_CHECK(!trace.empty());
-  CL_CHECK_MSG(plan.line_bytes() == options.hierarchy.l1.line_bytes,
-               "fetch plan was built for a different line size");
-  CL_CHECK_MSG(plan.block_count() >= trace.symbol_space(),
-               "fetch plan does not cover the trace's block space");
-  CacheHierarchy hier(options.hierarchy);
-  CacheLevel& front = hier.front(0);
-  const BlockPlan* plans = plan.blocks().data();
-  const bool track_l2 = options.hierarchy.multi_level();
-  const bool wrong_path = options.wrong_path_rate > 0.0;
-  Rng rng = Rng(options.seed).fork(1);
-  SimResult stats;
-  for (const Symbol s : trace.symbols()) {
-    const BlockPlan& bp = plans[s];
-    ++stats.blocks;
-    stats.instructions += bp.instr_count;
-    stats.overhead_instructions += bp.overhead_instrs;
-    for (std::uint32_t i = 0; i < bp.line_count; ++i) {
-      const std::uint64_t line = bp.first_line + i;
-      ++stats.line_probes;
-      const std::uint32_t depth = front.access(line);
-      if (depth != 0) {
-        ++stats.demand_misses;
-        if (track_l2) {
-          ++stats.l2_probes;
-          if (depth > 1) ++stats.l2_misses;
-        }
-        if (options.next_line_prefetch) front.prefill(line + 1);
-      }
-    }
-    if (wrong_path && bp.branchy != 0 && rng.chance(options.wrong_path_rate)) {
-      const std::uint64_t line = bp.first_line + bp.line_count;
-      if (front.access(line) != 0) ++stats.wrong_path_misses;
-    }
-  }
-  return stats;
-}
-
-}  // namespace
-
 SimResult simulate_solo(const FetchPlan& plan, const Trace& trace,
                         const SimOptions& options) {
   CODELAYOUT_PHASE("icache_solo", "cache", "cache.icache_solo.wall_ns",
                    {"events", std::uint64_t{trace.size()}},
                    {"runs", std::uint64_t{trace.run_count()}});
+  CacheHierarchy hier(options.hierarchy);
+  // Solo: namespace 0 and RNG stream 1, exactly co-run party 0's.
+  Stream stream = make_stream(plan, trace, /*line_namespace=*/0, options,
+                              /*rng_stream=*/1, hier.front(0));
+  const Shared shared = shared_state(hier, options, /*miss_stall=*/0.0);
   if (choose_path(options.dispatch, DispatchKernel::kIcacheSolo, trace) ==
       KernelPath::kStraightLine) {
-    return solo_flat(plan, trace, options);
+    stream.symbols = trace.symbols();
+    with_kernel(options, [&](auto kernel) {
+      decltype(kernel)::solo(stream, shared);
+    });
+    return stream.stats;
   }
-  CacheHierarchy hier(options.hierarchy);
-  FetchStream stream(plan, trace, /*line_namespace=*/0, options,
-                     /*rng_stream=*/1);
-  while (!stream.step_run(hier.front(0))) {
-  }
+  std::uint64_t fast_runs = 0;
+  std::uint64_t fallback_runs = 0;
+  with_kernel(options, [&](auto kernel) {
+    decltype(kernel)::solo_runs(stream, trace.runs(),
+                                options.hierarchy.l1.sets(), shared,
+                                fast_runs, fallback_runs);
+  });
   MetricsRegistry& registry = MetricsRegistry::global();
   if (registry.enabled()) {
-    registry.counter("cache.solo.runs_fast").add(stream.fast_runs());
-    registry.counter("cache.solo.runs_fallback").add(stream.fallback_runs());
+    registry.counter("cache.solo.runs_fast").add(fast_runs);
+    registry.counter("cache.solo.runs_fallback").add(fallback_runs);
   }
-  return stream.stats();
+  return stream.stats;
 }
 
 SimResult simulate_solo(const Module& module, const CodeLayout& layout,
@@ -569,11 +332,10 @@ CorunResult simulate_corun(const FetchPlan& self_plan, const Trace& self_trace,
   CODELAYOUT_PHASE("icache_corun", "cache", "cache.icache_corun.wall_ns",
                    {"self_events", std::uint64_t{self_trace.size()}},
                    {"peer_events", std::uint64_t{peer_trace.size()}});
-  const PlannedParty parties[2] = {{&self_plan, &self_trace, 1.0},
-                                   {&peer_plan, &peer_trace, peer_speed}};
+  const CorunSpec::Party parties[2] = {{&self_plan, &self_trace, 1.0},
+                                       {&peer_plan, &peer_trace, peer_speed}};
   CorunResult result;
-  std::vector<SimResult> results = run_corun_engine(
-      std::span<const PlannedParty>(parties), options, &result.stats);
+  std::vector<SimResult> results = run_corun(parties, options, &result.stats);
   result.self = results[0];
   result.peer = results[1];
   return result;
@@ -599,34 +361,7 @@ std::vector<SimResult> simulate_corun(const CorunSpec& spec,
   CODELAYOUT_PHASE("icache_corun_many", "cache",
                    "cache.icache_corun_many.wall_ns",
                    {"parties", std::uint64_t{spec.parties.size()}});
-  return run_corun_engine(spec.parties, spec.options, stats);
-}
-
-std::vector<SimResult> simulate_corun_many(
-    std::span<const PlannedParty> parties, const SimOptions& options,
-    CorunStats* stats) {
-  CorunSpec spec;
-  spec.parties.assign(parties.begin(), parties.end());
-  spec.options = options;
-  return simulate_corun(spec, stats);
-}
-
-std::vector<SimResult> simulate_corun_many(std::span<const CorunParty> parties,
-                                           const SimOptions& options,
-                                           CorunStats* stats) {
-  CL_CHECK_MSG(parties.size() >= 2, "need at least two co-runners");
-  std::vector<FetchPlan> plans;
-  CorunSpec spec;
-  spec.options = options;
-  plans.reserve(parties.size());
-  spec.parties.reserve(parties.size());
-  for (const CorunParty& p : parties) {
-    CL_CHECK(p.module && p.layout && p.trace);
-    CL_CHECK(p.speed > 0.0);
-    plans.emplace_back(*p.module, *p.layout, options.geometry().line_bytes);
-    spec.parties.push_back(CorunSpec::Party{&plans.back(), p.trace, p.speed});
-  }
-  return simulate_corun(spec, stats);
+  return run_corun(spec.parties, spec.options, stats);
 }
 
 Trace line_trace(const Module& module, const CodeLayout& layout,

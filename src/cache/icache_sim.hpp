@@ -21,8 +21,10 @@
 // (which build a FetchPlan internally) and plan-based overloads for callers
 // that amortize one plan across many simulations (the Lab memoizes plans per
 // workload x optimizer, so every cell of a co-run matrix shares them).
-// Results are bit-identical between the two forms, and between the run-aware
-// fast paths and per-event replay — see DESIGN.md §8 (solo) and §11 (co-run).
+// Results are bit-identical between the two forms. Co-run simulation is one
+// per-event kernel with the flavour fixed at compile time (DESIGN.md §11);
+// solo simulation is the same kernel at one stream, or its run-aware replay,
+// bit-identical to it (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -54,10 +56,9 @@ struct SimOptions {
   /// thread stalls and yields fetch slots, throttling its own pollution.
   double miss_stall_blocks = 2.0;
   std::uint64_t seed = 1;
-  /// Solo-path selection between the run-collapse FetchStream replay and a
-  /// straight-line flat-view loop (trace/dispatch.hpp). Results and RNG
-  /// streams are bit-identical; co-run always interleaves per round and is
-  /// unaffected.
+  /// Solo-path selection between the run-aware replay and the straight-line
+  /// flat-view kernel (trace/dispatch.hpp). Results and RNG streams are
+  /// bit-identical; co-run always replays per event and is unaffected.
   AnalysisDispatch dispatch{};
 
   /// The front (L1) geometry — the level fetch plans are built for.
@@ -127,24 +128,17 @@ SimResult simulate_solo(const Module& module, const CodeLayout& layout,
 SimResult simulate_solo(const FetchPlan& plan, const Trace& trace,
                         const SimOptions& options = {});
 
-/// Fast-path accounting for one co-run simulation: interleaved rounds
-/// advanced in bulk by the run-aware collapse vs replayed per event (see
-/// DESIGN.md §11). Purely observational — the per-round statistics and RNG
-/// streams are bit-identical either way.
+/// Work accounting for one co-run simulation.
 struct CorunStats {
-  std::uint64_t rounds_fast = 0;      ///< rounds advanced by collapse windows
-  std::uint64_t rounds_fallback = 0;  ///< rounds replayed per event
-  std::uint64_t windows = 0;          ///< collapse windows entered
-
-  [[nodiscard]] std::uint64_t rounds() const {
-    return rounds_fast + rounds_fallback;
-  }
+  /// Interleaved rounds: one per fetch slot of the measured stream (every
+  /// block it executes, plus the slots it spends stalled on misses).
+  std::uint64_t rounds = 0;
 };
 
 struct CorunResult {
   SimResult self;     ///< the measured program: its full trace, replayed once
   SimResult peer;     ///< the probe program: wraps around as needed
-  CorunStats stats{};  ///< collapse coverage of this simulation
+  CorunStats stats{};
 };
 
 /// Interleaves the two streams block-by-block through one shared cache.
@@ -167,10 +161,9 @@ CorunResult simulate_corun(const FetchPlan& self_plan, const Trace& self_trace,
 /// N-way shared-cache co-run (extension of the paper's Sec. III-F
 /// conjecture: Power-class SMT runs 4-8 hardware threads per core).
 ///
-/// One request struct replaces the old simulate_corun_many overload pair:
-/// parties, speeds, hierarchy and flavour flags travel together, the wire
-/// protocol of the service serializes the same shape, and every legacy entry
-/// point below is a thin shim over this one.
+/// Parties, speeds, hierarchy and flavour flags travel together in one
+/// request struct; the wire protocol of the service serializes the same
+/// shape.
 ///
 /// Party 0 is the measured reference stream: it replays its full trace
 /// exactly once, fetches one block per round, and its fetch rate defines the
@@ -192,30 +185,6 @@ struct CorunSpec {
 /// Simulates the spec's co-run: one SimResult per party, in party order.
 std::vector<SimResult> simulate_corun(const CorunSpec& spec,
                                       CorunStats* stats = nullptr);
-
-/// Module/layout-based party for callers without a FetchPlan; a plan is
-/// built per party (deprecated shim path — prefer CorunSpec with plans the
-/// caller amortizes, as the Lab does).
-struct CorunParty {
-  const Module* module;
-  const CodeLayout* layout;
-  const Trace* trace;
-  double speed = 1.0;  ///< blocks per round relative to the measured stream
-};
-
-/// Plan-based party; same shape as CorunSpec::Party (kept as an alias so
-/// pre-CorunSpec call sites compile unchanged).
-using PlannedParty = CorunSpec::Party;
-
-/// Deprecated shims over simulate_corun(CorunSpec): bit-identical to the
-/// spec-based entry point (pinned by tests). New code should build a
-/// CorunSpec instead.
-std::vector<SimResult> simulate_corun_many(std::span<const CorunParty> parties,
-                                           const SimOptions& options = {},
-                                           CorunStats* stats = nullptr);
-std::vector<SimResult> simulate_corun_many(
-    std::span<const PlannedParty> parties, const SimOptions& options = {},
-    CorunStats* stats = nullptr);
 
 /// Expands a block trace to the cache-line trace induced by `layout` —
 /// the instruction footprint stream for the Eq. 2 metrics. Line symbols are

@@ -10,9 +10,10 @@
 //   * packed (assoc <= 4) — per set, the ways' 16-bit partial tags live in
 //     one uint64_t probed with a SWAR zero-lane test, full tags (way-index
 //     order) confirm the candidate lanes, and recency is a 2-bit-per-way
-//     permutation byte updated through a precomputed promote table. A probe
-//     is one lane load + one multiply-mask test + (on hit) one table lookup;
-//     no per-way scan, no prefix rotation.
+//     permutation byte updated through a precomputed promote table; all
+//     three share one 64-byte record, so a probe touches one cache line. A
+//     probe is one lane load + one multiply-mask test + (on hit) one table
+//     lookup; no per-way scan, no prefix rotation.
 //   * packed wide (4 < assoc <= 16) — the sweep sibling: 8-bit partial tags,
 //     eight lanes per uint64_t word (one word for 8-way, two for 16-way),
 //     probed with the byte-lane SWAR zero test; recency is a 4-bit-per-
@@ -24,12 +25,42 @@
 //     contiguous array; probe is a linear scan and a hit rotates the prefix.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "cache/geometry.hpp"
 
 namespace codelayout {
+namespace set_assoc_detail {
+
+// kPromote[order * 4 + way]: the recency permutation after promoting `way`
+// to MRU — the way moves to position 0, everything previously above it
+// shifts one position deeper, relative order otherwise preserved. Entries
+// for non-permutation order bytes are never indexed (the cache maintains
+// valid permutations from construction on).
+constexpr std::array<std::uint8_t, 256 * 4> make_promote_table() {
+  std::array<std::uint8_t, 256 * 4> table{};
+  for (unsigned order = 0; order < 256; ++order) {
+    for (unsigned way = 0; way < 4; ++way) {
+      unsigned out = way;
+      unsigned shift = 2;
+      for (unsigned p = 0; p < 4 && shift < 8; ++p) {
+        const unsigned w = (order >> (2 * p)) & 3;
+        if (w == way) continue;
+        out |= w << shift;
+        shift += 2;
+      }
+      table[order * 4 + way] = static_cast<std::uint8_t>(out);
+    }
+  }
+  return table;
+}
+
+inline constexpr auto kPromote = make_promote_table();
+
+}  // namespace set_assoc_detail
 
 class SetAssocCache {
  public:
@@ -40,8 +71,7 @@ class SetAssocCache {
   bool access(std::uint64_t line) { return touch(line, true); }
 
   /// Installs without counting (prefetch fill). Returns true if already
-  /// resident. On a hit this is a pure recency touch — the co-run collapse
-  /// uses it to replay a window's last-touch order.
+  /// resident. On a hit this is a pure recency touch.
   bool prefill(std::uint64_t line) { return touch(line, false); }
 
   /// Residency probe: no recency update, no counting, no install.
@@ -115,20 +145,75 @@ class SetAssocCache {
   std::uint32_t assoc_;
   Repr repr_;
   std::uint32_t words_ = 0;  // packed wide: partial-tag words per set
-  // Full tags. Packed: way-index order (recency lives in order_/order16_).
-  // Generic: recency order (slot 0 is MRU). kEmpty marks an invalid way.
+  // Packed4: everything one probe reads, in one 64-byte line per set.
+  struct alignas(64) Set4 {
+    // Full tags in way-index order; kEmpty marks an invalid way.
+    std::uint64_t tags[kPackedMaxAssoc];
+    // The ways' 16-bit partial tags, one lane each.
+    std::uint64_t lanes;
+    // Recency permutation, 2 bits per position; position p's bits hold the
+    // way at recency rank p (p = 0 is MRU, assoc-1 is LRU).
+    std::uint8_t order;
+  };
+  static Set4 empty_set4();
+  std::vector<Set4> sets4_;
+  // Packed wide and generic: full tags. Packed wide: way-index order
+  // (recency lives in order16_). Generic: recency order (slot 0 is MRU).
+  // kEmpty marks an invalid way.
   std::vector<std::uint64_t> ways_;
-  // Packed: per-set partial-tag lanes — one word of 4x16-bit lanes
-  // (packed4), or `words_` words of 8x8-bit lanes (packed wide).
+  // Packed wide only: per-set partial-tag lanes, `words_` words of 8x8-bit
+  // lanes.
   std::vector<std::uint64_t> partial_;
-  // Packed4 only: per-set recency permutation, 2 bits per position; position
-  // p's bits hold the way at recency rank p (p = 0 is MRU, assoc-1 is LRU).
-  std::vector<std::uint8_t> order_;
   // Packed wide only: the same permutation at 4 bits per position.
   std::vector<std::uint64_t> order16_;
   std::uint64_t accesses_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
 };
+
+// The dispatch and the packed 4-way probe are inline: they are the per-event
+// cost of every I-cache simulation.
+inline bool SetAssocCache::touch(std::uint64_t line, bool count) {
+  switch (repr_) {
+    case Repr::kPacked4: return touch_packed(line, count);
+    case Repr::kPackedWide: return touch_packed_wide(line, count);
+    case Repr::kGeneric: return touch_generic(line, count);
+  }
+  return false;  // unreachable
+}
+
+inline bool SetAssocCache::touch_packed(std::uint64_t line, bool count) {
+  Set4& set = sets4_[line & set_mask_];
+  const std::uint64_t lanes = set.lanes;
+  // SWAR zero-lane test: a lane of `diff` is zero iff that way's partial tag
+  // matches. Borrow propagation can flag spurious lanes above a true match;
+  // never the reverse (a zero lane is always flagged), and every candidate
+  // is confirmed against the full tag, so false positives only cost a load.
+  const std::uint64_t diff = lanes ^ (kLaneLsb * partial_tag(line));
+  std::uint64_t cand = (diff - kLaneLsb) & ~diff & kLaneMsb;
+  if (count) ++accesses_;
+  while (cand != 0) {
+    const auto lane = static_cast<std::uint32_t>(std::countr_zero(cand)) >> 4;
+    if (lane < assoc_ && set.tags[lane] == line) {
+      set.order = set_assoc_detail::kPromote[set.order * 4u + lane];
+      return true;
+    }
+    cand &= cand - 1;
+  }
+  // Miss: the victim is the way at the LRU position. Empty ways start at the
+  // permutation tail and are never promoted until filled, so they are
+  // consumed before any real eviction — the same fill order as the generic
+  // recency array.
+  if (count) ++misses_;
+  const std::uint8_t order = set.order;
+  const std::uint32_t victim = (order >> (2 * (assoc_ - 1))) & 3u;
+  if (set.tags[victim] != kEmpty) ++evictions_;
+  set.tags[victim] = line;
+  const std::uint32_t shift = 16 * victim;
+  set.lanes = (lanes & ~(std::uint64_t{0xffff} << shift)) |
+              (std::uint64_t{partial_tag(line)} << shift);
+  set.order = set_assoc_detail::kPromote[order * 4u + victim];
+  return false;
+}
 
 }  // namespace codelayout

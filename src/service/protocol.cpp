@@ -314,8 +314,9 @@ std::string encode_response_payload(const JobResponse& response,
   if (version >= 3) {
     // v3 trailing fields: the cost receipt + introspection document.
     put_varint(out, response.receipt.events);
-    put_varint(out, response.receipt.rounds_fast);
-    put_varint(out, response.receipt.rounds_fallback);
+    // Retired slot (the co-run collapse's fast-round count): always 0.
+    put_varint(out, 0);
+    put_varint(out, response.receipt.corun_rounds);
     put_varint(out, response.receipt.cache_probes);
     put_varint(out, response.receipt.l2_probes);
     put_varint(out, response.receipt.memo_hits);
@@ -442,8 +443,8 @@ JobResponse decode_response_payload(std::string_view payload,
   response.trace_stats.checksum = in.varint();
   if (version >= 3) {
     response.receipt.events = in.varint();
-    response.receipt.rounds_fast = in.varint();
-    response.receipt.rounds_fallback = in.varint();
+    in.varint();  // retired slot, written as 0
+    response.receipt.corun_rounds = in.varint();
     response.receipt.cache_probes = in.varint();
     response.receipt.l2_probes = in.varint();
     response.receipt.memo_hits = in.varint();

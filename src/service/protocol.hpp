@@ -202,8 +202,7 @@ struct TraceStatsResult {
 /// lookup itself is effectively free).
 struct CostReceipt {
   std::uint64_t events = 0;           ///< instructions + overhead simulated
-  std::uint64_t rounds_fast = 0;      ///< co-run rounds collapsed arithmetically
-  std::uint64_t rounds_fallback = 0;  ///< co-run rounds replayed per event
+  std::uint64_t corun_rounds = 0;     ///< co-run interleaving rounds
   std::uint64_t cache_probes = 0;     ///< L1I line probes across all results
   std::uint64_t l2_probes = 0;        ///< shared-L2 demand probes
   std::uint64_t memo_hits = 0;        ///< Lab memo cells served cached

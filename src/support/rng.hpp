@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -130,6 +131,34 @@ class Rng {
   }
 
   std::array<std::uint64_t, 4> state_{};
+};
+
+/// Rng::chance(p) for a fixed p as one integer compare. chance() tests
+/// uniform() < p, i.e. (next() >> 11) * 2^-53 < p; both sides scale exactly
+/// by 2^53, and an integer is below a real iff it is below that real's
+/// ceiling, so the draw is (next() >> 11) < ceil(p * 2^53). Same results,
+/// same stream position: p <= 0 and p >= 1 consume no draw, and a NaN p
+/// draws and fails, exactly as chance() does.
+class Bernoulli {
+ public:
+  explicit Bernoulli(double p)
+      : mode_(p <= 0.0   ? Mode::kNever
+              : p >= 1.0 ? Mode::kAlways
+                         : Mode::kDraw),
+        threshold_(mode_ == Mode::kDraw && p > 0.0
+                       ? static_cast<std::uint64_t>(
+                             std::ceil(std::ldexp(p, 53)))
+                       : 0) {}
+
+  bool operator()(Rng& rng) const {
+    if (mode_ != Mode::kDraw) return mode_ == Mode::kAlways;
+    return (rng.next() >> 11) < threshold_;
+  }
+
+ private:
+  enum class Mode : std::uint8_t { kNever, kAlways, kDraw };
+  Mode mode_;
+  std::uint64_t threshold_;  ///< in [1, 2^53) for p in (0, 1); 0 for NaN
 };
 
 }  // namespace codelayout

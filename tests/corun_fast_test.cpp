@@ -1,18 +1,22 @@
-// Equivalence suite for the run-aware co-run collapse (DESIGN.md §11).
+// Equivalence suite for the per-event co-run kernel (DESIGN.md §11).
 //
-// The co-run engine may bulk-advance whole windows of interleaved rounds
-// when every stream spins inside a run whose lines are resident. This suite
-// pins the claim that the collapse is a pure evaluation-order change: a
-// per-event reference engine — written out longhand against its own LRU
-// cache implementation, with the same namespaces, credit arithmetic, stall
-// debts, and forked RNG streams — must agree bit for bit on every SimResult
-// field, including the RNG-stream-sensitive wrong-path miss counts, over
-// the whole golden workload suite, many-party mixes with fractional speeds,
-// and degenerate cache geometries.
+// The production co-run is one inlined kernel whose measurement flavour and
+// hierarchy shape are template flags, and whose wrong-path draw is an
+// integer compare. This suite pins it to a per-event reference engine —
+// written out longhand against its own LRU cache implementation, with module
+// and layout lookups per event, the same namespaces, credit arithmetic,
+// stall debts, and forked RNG streams drawn through Rng::chance — which must
+// agree bit for bit on every SimResult field, including the RNG-stream-
+// sensitive wrong-path miss counts and the demand-side L2 attribution. The
+// cases cover the whole golden workload suite, many-party mixes with
+// fractional speeds, degenerate cache geometries, private L1s over a shared
+// L2, and wrong-path rates at the edges of the draw (1, 2^-53, 1 - 2^-53).
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,10 +42,7 @@ class RefCache {
   explicit RefCache(const CacheGeometry& geom)
       : sets_(geom.sets()), assoc_(geom.associativity), ways_(geom.sets()) {}
 
-  bool access(std::uint64_t line) { return touch(line); }
-  void prefill(std::uint64_t line) { touch(line); }
-
- private:
+  /// Touches `line` (installing it on a miss); returns true on a hit.
   bool touch(std::uint64_t line) {
     auto& ways = ways_[line % sets_];
     const auto it = std::find(ways.begin(), ways.end(), line);
@@ -52,13 +53,30 @@ class RefCache {
     return hit;
   }
 
+ private:
   std::uint64_t sets_;
   std::size_t assoc_;
   std::vector<std::vector<std::uint64_t>> ways_;
 };
 
-/// The pre-collapse per-event co-run stream: flat symbols, module/layout
-/// lookups per event, stall debt, and the stream's own forked RNG.
+/// The reference's cache state: one L1 shared by every stream under a flat
+/// spec; private L1s over one shared L2 otherwise. Every L1 miss — demand,
+/// wrong-path, or prefetch fill — continues to the L2.
+struct RefHierarchy {
+  std::vector<RefCache> l1;
+  std::optional<RefCache> l2;
+
+  RefHierarchy(const HierarchySpec& spec, std::size_t parties)
+      : l1(spec.multi_level() ? parties : 1, RefCache(spec.l1)) {
+    if (spec.l2) l2.emplace(*spec.l2);
+  }
+  RefCache& front(std::size_t party) {
+    return l1[l1.size() == 1 ? 0 : party];
+  }
+};
+
+/// The per-event co-run stream: flat symbols, module/layout lookups per
+/// event, stall debt, and the stream's own forked RNG.
 class RefStream {
  public:
   RefStream(const Module& module, const CodeLayout& layout, const Trace& trace,
@@ -71,7 +89,7 @@ class RefStream {
         options_(options),
         rng_(Rng(options.seed).fork(rng_stream)) {}
 
-  bool step(RefCache& cache) {
+  bool step(RefCache& l1, std::optional<RefCache>& l2) {
     if (debt_ >= 1.0) {
       debt_ -= 1.0;
       return false;
@@ -86,16 +104,24 @@ class RefStream {
     for (std::uint32_t i = 0; i < span.line_count; ++i) {
       const std::uint64_t line = namespace_ + span.first_line + i;
       ++stats_.line_probes;
-      if (!cache.access(line)) {
-        ++stats_.demand_misses;
-        debt_ += options_.miss_stall_blocks;
-        if (options_.next_line_prefetch) cache.prefill(line + 1);
+      if (l1.touch(line)) continue;
+      ++stats_.demand_misses;
+      if (l2) {
+        ++stats_.l2_probes;
+        if (!l2->touch(line)) ++stats_.l2_misses;
+      }
+      debt_ += options_.miss_stall_blocks;
+      if (options_.next_line_prefetch && !l1.touch(line + 1) && l2) {
+        l2->touch(line + 1);
       }
     }
     if (options_.wrong_path_rate > 0.0 && bb.successors.size() > 1 &&
         rng_.chance(options_.wrong_path_rate)) {
       const std::uint64_t line = namespace_ + span.first_line + span.line_count;
-      if (!cache.access(line)) ++stats_.wrong_path_misses;
+      if (!l1.touch(line)) {
+        ++stats_.wrong_path_misses;
+        if (l2) l2->touch(line);
+      }
     }
     if (++pos_ == symbols_.size()) {
       pos_ = 0;
@@ -127,7 +153,7 @@ struct RefParty {
 
 std::vector<SimResult> reference_corun(const std::vector<RefParty>& parties,
                                        const SimOptions& options) {
-  RefCache cache(options.geometry());
+  RefHierarchy hier(options.hierarchy, parties.size());
   std::vector<RefStream> streams;
   streams.reserve(parties.size());
   std::vector<double> credit(parties.size(), 0.0);
@@ -137,11 +163,11 @@ std::vector<SimResult> reference_corun(const std::vector<RefParty>& parties,
                          options, /*rng_stream=*/i + 1);
   }
   for (;;) {
-    const bool done = streams[0].step(cache);
+    const bool done = streams[0].step(hier.front(0), hier.l2);
     for (std::size_t i = 1; i < parties.size(); ++i) {
       credit[i] += parties[i].speed;
       while (credit[i] >= 1.0) {
-        streams[i].step(cache);
+        streams[i].step(hier.front(i), hier.l2);
         credit[i] -= 1.0;
       }
     }
@@ -151,6 +177,49 @@ std::vector<SimResult> reference_corun(const std::vector<RefParty>& parties,
   results.reserve(streams.size());
   for (const RefStream& s : streams) results.push_back(s.stats());
   return results;
+}
+
+/// The production kernel on the same parties, through a CorunSpec over
+/// fetch plans built at the spec's line size.
+std::vector<SimResult> kernel_corun(const std::vector<RefParty>& parties,
+                                    const SimOptions& options) {
+  std::vector<FetchPlan> plans;
+  plans.reserve(parties.size());
+  CorunSpec spec;
+  spec.options = options;
+  for (const RefParty& p : parties) {
+    plans.emplace_back(*p.module, *p.layout, options.geometry().line_bytes);
+    spec.parties.push_back(CorunSpec::Party{&plans.back(), p.trace, p.speed});
+  }
+  return simulate_corun(spec);
+}
+
+/// The measurement flavours every case runs under: the bare cache, the
+/// hardware proxy, each of its two mechanisms alone, and the hardware proxy
+/// at wrong-path rates on the edges of the integer draw (always-on with no
+/// draw, an even coin, and the smallest and largest probabilities below 1 a
+/// double can carry).
+struct Flavour {
+  std::string label;
+  SimOptions options;
+};
+
+std::vector<Flavour> flavours() {
+  SimOptions prefetch_only;
+  prefetch_only.next_line_prefetch = true;
+  SimOptions wrong_path_only;
+  wrong_path_only.wrong_path_rate = 0.08;
+  std::vector<Flavour> out = {{"[sim]", SimOptions{}},
+                              {"[hw]", hardware_proxy_options()},
+                              {"[prefetch only]", prefetch_only},
+                              {"[wrong path only]", wrong_path_only}};
+  for (const double rate : {1.0, 0.5, std::ldexp(1.0, -53),
+                            1.0 - std::ldexp(1.0, -53)}) {
+    SimOptions options = hardware_proxy_options();
+    options.wrong_path_rate = rate;
+    out.push_back({"[hw wrong_path=" + std::to_string(rate) + "]", options});
+  }
+  return out;
 }
 
 // ---- Fixtures ---------------------------------------------------------------
@@ -169,8 +238,8 @@ Trace prefix_events(const Trace& t, std::size_t n) {
   return out;
 }
 
-/// A suite workload with the spin knob turned up: long same-block runs, the
-/// shape the collapse is built for.
+/// A suite workload with the spin knob turned up: long same-block runs, so
+/// the kernel also meets streams that hit the same lines for many rounds.
 WorkloadSpec spin_variant(const std::string& base, double prob,
                           double repeat) {
   WorkloadSpec spec = find_spec(base);
@@ -194,10 +263,7 @@ struct Prepared {
                 .block_trace,
             prefix)) {}
 
-  [[nodiscard]] CorunParty party(double speed = 1.0) const {
-    return CorunParty{&module, &layout, &trace, speed};
-  }
-  [[nodiscard]] RefParty ref_party(double speed = 1.0) const {
+  [[nodiscard]] RefParty party(double speed = 1.0) const {
     return RefParty{&module, &layout, &trace, speed};
   }
 };
@@ -217,6 +283,8 @@ void append_mismatches(std::vector<std::string>& out, const std::string& label,
   check("line_probes", got.line_probes, want.line_probes);
   check("demand_misses", got.demand_misses, want.demand_misses);
   check("wrong_path_misses", got.wrong_path_misses, want.wrong_path_misses);
+  check("l2_probes", got.l2_probes, want.l2_probes);
+  check("l2_misses", got.l2_misses, want.l2_misses);
 }
 
 void expect_sim_equal(const SimResult& got, const SimResult& want) {
@@ -226,13 +294,32 @@ void expect_sim_equal(const SimResult& got, const SimResult& want) {
   EXPECT_EQ(got.line_probes, want.line_probes);
   EXPECT_EQ(got.demand_misses, want.demand_misses);
   EXPECT_EQ(got.wrong_path_misses, want.wrong_path_misses);
+  EXPECT_EQ(got.l2_probes, want.l2_probes);
+  EXPECT_EQ(got.l2_misses, want.l2_misses);
+}
+
+/// Kernel vs reference on one party mix under every flavour, in
+/// `hierarchy`.
+void expect_kernel_matches(const std::vector<RefParty>& parties,
+                           const HierarchySpec& hierarchy) {
+  for (const Flavour& flavour : flavours()) {
+    SimOptions options = flavour.options;
+    options.hierarchy = hierarchy;
+    const auto got = kernel_corun(parties, options);
+    const auto want = reference_corun(parties, options);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE(flavour.label + " party " + std::to_string(i));
+      expect_sim_equal(got[i], want[i]);
+    }
+  }
 }
 
 // ---- Whole-suite equivalence ------------------------------------------------
 
-TEST(CorunFast, GoldenSuiteVsSpinPeerMatchesPerEventReplay) {
+TEST(CorunKernel, GoldenSuiteVsSpinPeerMatchesPerEventReplay) {
   // Every suite workload co-run against one shared spin-heavy peer at a
-  // fractional speed, under both measurement flavours.
+  // fractional speed, under every flavour.
   const Prepared peer(spin_variant("403.gcc", 0.7, 48.0), 77, 40'000, 12'000);
   ThreadPool pool(ThreadPool::default_threads());
   std::mutex mu;
@@ -243,16 +330,14 @@ TEST(CorunFast, GoldenSuiteVsSpinPeerMatchesPerEventReplay) {
     pending.push_back(pool.submit([&spec, &peer, &mu, &failures] {
       const Prepared self(spec, 11, 20'000, 6'000);
       std::vector<std::string> local;
-      for (const bool hw : {false, true}) {
-        const SimOptions options = hw ? hardware_proxy_options() : SimOptions{};
+      for (const Flavour& flavour : flavours()) {
         const double peer_speed = 1.3;
-        const CorunResult got =
-            simulate_corun(self.module, self.layout, self.trace, peer.module,
-                           peer.layout, peer.trace, options, peer_speed);
+        const CorunResult got = simulate_corun(
+            self.module, self.layout, self.trace, peer.module, peer.layout,
+            peer.trace, flavour.options, peer_speed);
         const std::vector<SimResult> want = reference_corun(
-            {self.ref_party(), peer.ref_party(peer_speed)}, options);
-        const std::string label =
-            spec.name + (hw ? " [hw]" : " [sim]");
+            {self.party(), peer.party(peer_speed)}, flavour.options);
+        const std::string label = spec.name + " " + flavour.label;
         append_mismatches(local, label + " self", got.self, want[0]);
         append_mismatches(local, label + " peer", got.peer, want[1]);
       }
@@ -268,7 +353,7 @@ TEST(CorunFast, GoldenSuiteVsSpinPeerMatchesPerEventReplay) {
 
 // ---- Many-party mixes with fractional speeds --------------------------------
 
-TEST(CorunFast, ManyPartySpinMixesMatchPerEventReplay) {
+TEST(CorunKernel, ManyPartySpinMixesMatchPerEventReplay) {
   const Prepared a(spin_variant("470.lbm", 0.7, 48.0), 21, 20'000, 5'000);
   const Prepared b(spin_variant("403.gcc", 0.6, 32.0), 22, 30'000, 10'000);
   const Prepared c(spin_variant("416.gamess", 0.5, 24.0), 23, 30'000, 10'000);
@@ -277,34 +362,17 @@ TEST(CorunFast, ManyPartySpinMixesMatchPerEventReplay) {
   const double speeds[] = {0.5, 1.7, 0.25};
 
   for (const std::size_t parties : {2u, 3u, 4u}) {
-    for (const bool hw : {false, true}) {
-      const SimOptions options = hw ? hardware_proxy_options() : SimOptions{};
-      std::vector<CorunParty> got_parties = {a.party()};
-      std::vector<RefParty> ref_parties = {a.ref_party()};
-      for (std::size_t i = 0; i + 1 < parties; ++i) {
-        got_parties.push_back(peers[i]->party(speeds[i]));
-        ref_parties.push_back(peers[i]->ref_party(speeds[i]));
-      }
-      CorunStats stats;
-      const auto got = simulate_corun_many(got_parties, options, &stats);
-      const auto want = reference_corun(ref_parties, options);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        SCOPED_TRACE("parties=" + std::to_string(parties) +
-                     (hw ? " [hw]" : " [sim]") + " party " +
-                     std::to_string(i));
-        expect_sim_equal(got[i], want[i]);
-      }
-      // Spin-heavy mixes must actually exercise the collapse.
-      EXPECT_GT(stats.rounds_fast, 0u);
-      EXPECT_GT(stats.windows, 0u);
+    SCOPED_TRACE("parties=" + std::to_string(parties));
+    std::vector<RefParty> mix = {a.party()};
+    for (std::size_t i = 0; i + 1 < parties; ++i) {
+      mix.push_back(peers[i]->party(speeds[i]));
     }
+    expect_kernel_matches(mix, HierarchySpec{});
   }
 }
 
-TEST(CorunFast, FastPeerSpeedMatchesPerEventReplay) {
-  // speed > 1 makes peers take several steps per round; the round-replay
-  // rejection has to count them exactly.
+TEST(CorunKernel, FastPeerSpeedMatchesPerEventReplay) {
+  // speed > 1 makes peers take several steps per round.
   const Prepared a(spin_variant("470.lbm", 0.7, 48.0), 31, 20'000, 4'000);
   const Prepared b(spin_variant("403.gcc", 0.7, 48.0), 32, 30'000, 12'000);
   const SimOptions options = hardware_proxy_options();
@@ -312,80 +380,86 @@ TEST(CorunFast, FastPeerSpeedMatchesPerEventReplay) {
   const CorunResult got =
       simulate_corun(a.module, a.layout, a.trace, b.module, b.layout, b.trace,
                      options, speed);
-  const auto want =
-      reference_corun({a.ref_party(), b.ref_party(speed)}, options);
+  const auto want = reference_corun({a.party(), b.party(speed)}, options);
   expect_sim_equal(got.self, want[0]);
   expect_sim_equal(got.peer, want[1]);
 }
 
 // ---- Degenerate geometries --------------------------------------------------
 
-TEST(CorunFast, DegenerateGeometriesMatchPerEventReplay) {
+TEST(CorunKernel, DegenerateGeometriesMatchPerEventReplay) {
   const Prepared a(spin_variant("470.lbm", 0.6, 32.0), 41, 20'000, 4'000);
   const Prepared b(spin_variant("416.gamess", 0.6, 32.0), 42, 20'000, 8'000);
 
   const CacheGeometry geometries[] = {
       {256, 4, 64},   // a single set: everything conflicts
       {512, 1, 64},   // direct-mapped
-      {1024, 8, 64},  // assoc > 4: the generic (non-packed) cache path
+      {1024, 8, 64},  // assoc > 4: the wide packed cache path
   };
   for (const CacheGeometry& geom : geometries) {
-    for (const bool hw : {false, true}) {
-      SimOptions options = hw ? hardware_proxy_options() : SimOptions{};
-      options.hierarchy.l1 = geom;
-      options.hierarchy.l1.validate();
-      SCOPED_TRACE(std::string(hw ? "[hw]" : "[sim]") + " sets=" +
-                   std::to_string(geom.sets()) +
-                   " assoc=" + std::to_string(geom.associativity));
-      const CorunResult got =
-          simulate_corun(a.module, a.layout, a.trace, b.module, b.layout,
-                         b.trace, options, 1.7);
-      const auto want =
-          reference_corun({a.ref_party(), b.ref_party(1.7)}, options);
-      expect_sim_equal(got.self, want[0]);
-      expect_sim_equal(got.peer, want[1]);
+    HierarchySpec hierarchy;
+    hierarchy.l1 = geom;
+    hierarchy.validate();
+    SCOPED_TRACE(hierarchy.to_string());
+    expect_kernel_matches({a.party(), b.party(1.7)}, hierarchy);
+  }
+}
+
+// ---- Private L1s over a shared L2 -------------------------------------------
+
+TEST(CorunKernel, TwoLevelHierarchiesMatchPerEventReplay) {
+  const Prepared a(find_spec("403.gcc"), 71, 30'000, 8'000);
+  const Prepared b(find_spec("416.gamess"), 72, 30'000, 10'000);
+  const Prepared c(find_spec("429.mcf"), 73, 30'000, 10'000);
+  const Prepared d(spin_variant("470.lbm", 0.6, 32.0), 74, 20'000, 6'000);
+
+  for (const char* text :
+       {"32K/4/64+l2=256K/8/64", "16K/2/64+l2=256K/8/64",
+        "2K/2/32+l2=1M/16/32"}) {
+    const HierarchySpec hierarchy = parse_hierarchy(text);
+    SCOPED_TRACE(text);
+    {
+      SCOPED_TRACE("parties=2");
+      expect_kernel_matches({a.party(), b.party(1.3)}, hierarchy);
+    }
+    {
+      SCOPED_TRACE("parties=4");
+      expect_kernel_matches(
+          {a.party(), b.party(0.5), c.party(1.7), d.party(0.25)}, hierarchy);
     }
   }
 }
 
-// ---- Plan-based API ---------------------------------------------------------
+// ---- Entry points -----------------------------------------------------------
 
-TEST(CorunFast, PlannedPartiesMatchModuleLayoutParties) {
+TEST(CorunKernel, TwoWayEntryPointIsTheSpecKernelAtTwoParties) {
   const Prepared a(spin_variant("470.lbm", 0.7, 48.0), 51, 20'000, 5'000);
   const Prepared b(spin_variant("403.gcc", 0.7, 48.0), 52, 20'000, 8'000);
   const SimOptions options = hardware_proxy_options();
   const FetchPlan plan_a(a.module, a.layout, options.geometry().line_bytes);
   const FetchPlan plan_b(b.module, b.layout, options.geometry().line_bytes);
 
-  std::vector<CorunParty> legacy = {a.party(), b.party(1.3)};
-  std::vector<PlannedParty> planned = {PlannedParty{&plan_a, &a.trace, 1.0},
-                                       PlannedParty{&plan_b, &b.trace, 1.3}};
-  CorunStats legacy_stats, planned_stats;
-  const auto legacy_results =
-      simulate_corun_many(legacy, options, &legacy_stats);
-  const auto planned_results =
-      simulate_corun_many(planned, options, &planned_stats);
-  ASSERT_EQ(legacy_results.size(), planned_results.size());
-  for (std::size_t i = 0; i < legacy_results.size(); ++i) {
-    SCOPED_TRACE("party " + std::to_string(i));
-    expect_sim_equal(planned_results[i], legacy_results[i]);
-  }
-  EXPECT_EQ(planned_stats.rounds_fast, legacy_stats.rounds_fast);
-  EXPECT_EQ(planned_stats.rounds_fallback, legacy_stats.rounds_fallback);
-  EXPECT_EQ(planned_stats.windows, legacy_stats.windows);
-
-  // The two-way entry point is the same engine at two parties.
-  const CorunResult pair = simulate_corun(plan_a, a.trace, plan_b, b.trace,
-                                          options, 1.3);
-  expect_sim_equal(pair.self, legacy_results[0]);
-  expect_sim_equal(pair.peer, legacy_results[1]);
-  EXPECT_EQ(pair.stats.rounds_fast, legacy_stats.rounds_fast);
+  CorunStats spec_stats;
+  const auto from_spec = simulate_corun(
+      CorunSpec{{{&plan_a, &a.trace, 1.0}, {&plan_b, &b.trace, 1.3}}, options},
+      &spec_stats);
+  const CorunResult pair =
+      simulate_corun(plan_a, a.trace, plan_b, b.trace, options, 1.3);
+  ASSERT_EQ(from_spec.size(), 2u);
+  expect_sim_equal(pair.self, from_spec[0]);
+  expect_sim_equal(pair.peer, from_spec[1]);
+  // One round per measured fetch slot: every block, plus the stall slots.
+  EXPECT_EQ(pair.stats.rounds, spec_stats.rounds);
+  EXPECT_GT(spec_stats.rounds, a.trace.size());
 }
 
-TEST(CorunFast, MeasuredPartyMustRunAtUnitSpeed) {
+TEST(CorunKernel, MeasuredPartyMustRunAtUnitSpeed) {
   const Prepared a(spin_variant("470.lbm", 0.5, 24.0), 61, 10'000, 2'000);
-  std::vector<CorunParty> parties = {a.party(0.5), a.party()};
-  EXPECT_THROW(simulate_corun_many(parties, {}), ContractError);
+  const FetchPlan plan(a.module, a.layout, kL1I.line_bytes);
+  EXPECT_THROW(
+      simulate_corun(CorunSpec{{{&plan, &a.trace, 0.5}, {&plan, &a.trace, 1.0}},
+                               SimOptions{}}),
+      ContractError);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/lab.hpp"
 #include "json_lint.hpp"
 #include "prom_lint.hpp"
 #include "support/registry.hpp"
@@ -269,6 +270,32 @@ TEST(MetricsRegistryTest, DisabledByDefault) {
   EXPECT_FALSE(registry.enabled());
   registry.set_enabled(true);
   EXPECT_TRUE(registry.enabled());
+}
+
+TEST(MetricsRegistryTest, CorunBatchExportsNoPerPairSeries) {
+  // The metric-name set stays bounded: a co-run matrix adds no series per
+  // (self, peer) pair, so no exported name carries a "self|peer" key.
+  MetricsRegistry& registry = MetricsRegistry::global();
+  registry.reset();
+  registry.set_enabled(true);
+  {
+    Lab lab(LabOptions{}.threads(2));
+    std::vector<EvalRequest> cells;
+    for (const Measure measure : {Measure::kSimulator, Measure::kHardware}) {
+      cells.push_back(EvalRequest::corun("429.mcf", std::nullopt, "458.sjeng",
+                                         std::nullopt, measure));
+      cells.push_back(EvalRequest::corun("458.sjeng", std::nullopt, "429.mcf",
+                                         std::nullopt, measure));
+      cells.push_back(EvalRequest::corun("429.mcf", std::nullopt, "470.lbm",
+                                         std::nullopt, measure));
+    }
+    lab.evaluate_all(cells);
+  }
+  const std::string doc = registry.to_json("corun");
+  registry.set_enabled(false);
+  registry.reset();
+  EXPECT_NE(doc.find(R"("cache.corun.rounds")"), std::string::npos) << doc;
+  EXPECT_EQ(doc.find('|'), std::string::npos) << doc;
 }
 
 }  // namespace

@@ -110,6 +110,42 @@ TEST(Rng, ChanceMatchesProbability) {
   EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
 }
 
+TEST(Bernoulli, MatchesChanceDrawForDraw) {
+  // The integer draw must agree with Rng::chance(p) on every result and
+  // leave the stream at the same position after every draw.
+  for (const double p :
+       {0.0, std::ldexp(1.0, -53), 0.08, 0.5, 1.0 - std::ldexp(1.0, -53), 1.0,
+        1.5}) {
+    SCOPED_TRACE("p = " + std::to_string(p));
+    const Bernoulli coin(p);
+    Rng by_chance(99), by_coin(99);
+    int mismatches = 0;
+    for (int i = 0; i < 20000; ++i) {
+      mismatches += by_chance.chance(p) != coin(by_coin);
+      Rng next_chance = by_chance, next_coin = by_coin;
+      mismatches += next_chance.next() != next_coin.next();
+    }
+    EXPECT_EQ(mismatches, 0);
+  }
+}
+
+TEST(Bernoulli, CertainOutcomesConsumeNoDraw) {
+  for (const double p : {-0.5, 0.0, 1.0, 1.5}) {
+    SCOPED_TRACE("p = " + std::to_string(p));
+    Rng rng(7);
+    const Bernoulli coin(p);
+    for (int i = 0; i < 10; ++i) EXPECT_EQ(coin(rng), p >= 1.0);
+    EXPECT_EQ(rng.next(), Rng(7).next());
+  }
+}
+
+TEST(Bernoulli, NanDrawsAndFailsLikeChance) {
+  Rng nan_rng(3), chance_rng(3);
+  EXPECT_FALSE(Bernoulli(std::nan(""))(nan_rng));
+  EXPECT_FALSE(chance_rng.chance(std::nan("")));
+  EXPECT_EQ(nan_rng.next(), chance_rng.next());
+}
+
 TEST(Rng, GeometricMeanApproximates) {
   Rng rng(23);
   // back-edge probability p gives mean p/(1-p) iterations.
