@@ -8,10 +8,7 @@
 // (exit 4) if they differ, so the speedup numbers are only ever reported
 // for provably identical outputs.
 //
-// Workloads form (self, peer) pairs from consecutive entries of --workload;
-// "+spin" selects the bench-local spin variant (long same-block runs); the
-// kernel replays every event either way, so spin and suite pairs measure
-// the same loop over different fetch mixes.
+// Workloads form (self, peer) pairs from consecutive entries of --workload.
 //
 // --sweep-threads fans independent co-run cells over a thread pool at each
 // requested width and reports per-width throughput plus a combined checksum;
@@ -258,7 +255,6 @@ struct PreparedWorkloadBench {
                        .max_call_depth = 64})
                   .block_trace) {
     sim_plan = std::make_unique<FetchPlan>(module, layout, kL1I.line_bytes);
-    (void)trace.symbols();  // materialize outside the timed regions
   }
 
   [[nodiscard]] RefParty ref_party(double speed = 1.0) const {
@@ -288,8 +284,6 @@ struct PairReport {
   std::string self;
   std::string peer;
   std::uint64_t events = 0;  ///< blocks executed per two-way simulation
-  double self_compression = 1.0;
-  double peer_compression = 1.0;
   std::vector<KernelReport> kernels;
   std::vector<GeometryPoint> geometry_sweep;
 };
@@ -489,8 +483,6 @@ PairReport measure_pair(const PreparedWorkloadBench& a,
   PairReport report{.self = a.name,
                     .peer = b.name,
                     .events = 0,
-                    .self_compression = a.trace.run_compression(),
-                    .peer_compression = b.trace.run_compression(),
                     .kernels = {},
                     .geometry_sweep = {}};
 
@@ -544,11 +536,9 @@ std::string json_report(const std::vector<PairReport>& pairs) {
     const PairReport& r = pairs[p];
     append_format(out,
                   "%s  {\"self\": \"%s\", \"peer\": \"%s\", \"events\": %llu,"
-                  " \"self_run_compression\": %.3f,"
-                  " \"peer_run_compression\": %.3f, \"kernels\": [",
+                  " \"kernels\": [",
                   p ? ",\n" : "", r.self.c_str(), r.peer.c_str(),
-                  static_cast<unsigned long long>(r.events),
-                  r.self_compression, r.peer_compression);
+                  static_cast<unsigned long long>(r.events));
     for (std::size_t i = 0; i < r.kernels.size(); ++i) {
       const KernelReport& k = r.kernels[i];
       append_format(out, "%s{\"name\": \"%s\", \"events_per_sec\": %.0f",
@@ -602,10 +592,8 @@ std::string json_report(const std::vector<PairReport>& pairs) {
 }
 
 void print_text(const PairReport& r) {
-  std::printf("%s vs %s  (%llu blocks/sim, compression %.2fx / %.2fx)\n",
-              r.self.c_str(), r.peer.c_str(),
-              static_cast<unsigned long long>(r.events), r.self_compression,
-              r.peer_compression);
+  std::printf("%s vs %s  (%llu blocks/sim)\n", r.self.c_str(),
+              r.peer.c_str(), static_cast<unsigned long long>(r.events));
   for (const KernelReport& k : r.kernels) {
     std::printf("    %-14s %12.0f events/s", k.name, k.events_per_sec);
     if (k.baseline_events_per_sec > 0.0) {
@@ -634,28 +622,6 @@ void print_text(const PairReport& r) {
 
 // ---- CLI --------------------------------------------------------------------
 
-/// "name+spin" = the test suite's spin variant (prob 0.7, repeat 48);
-/// "name+spin:P:R" overrides both knobs (e.g. "470.lbm+spin:0.9:192" for
-/// long spin runs).
-WorkloadSpec spin_variant(const std::string& base, const std::string& params) {
-  WorkloadSpec spec = find_spec(base);
-  spec.name = base + "+spin" + params;
-  spec.spin_prob = 0.7;
-  spec.spin_repeat = 48.0;
-  if (!params.empty()) {
-    char* cursor = nullptr;
-    spec.spin_prob = std::strtod(params.c_str() + 1, &cursor);
-    if (cursor == nullptr || *cursor != ':' ||
-        !(spec.spin_prob > 0.0 && spec.spin_prob <= 1.0)) {
-      std::fprintf(stderr, "bad spin parameters \"%s\" (want :prob:repeat)\n",
-                   params.c_str());
-      std::exit(2);
-    }
-    spec.spin_repeat = std::strtod(cursor + 1, nullptr);
-  }
-  return spec;
-}
-
 std::vector<WorkloadSpec> parse_workloads(const std::string& list) {
   std::vector<WorkloadSpec> specs;
   std::size_t start = 0;
@@ -663,15 +629,7 @@ std::vector<WorkloadSpec> parse_workloads(const std::string& list) {
     std::size_t comma = list.find(',', start);
     if (comma == std::string::npos) comma = list.size();
     const std::string name = list.substr(start, comma - start);
-    if (!name.empty()) {
-      const auto plus = name.rfind("+spin");
-      if (plus != std::string::npos) {
-        specs.push_back(
-            spin_variant(name.substr(0, plus), name.substr(plus + 5)));
-      } else {
-        specs.push_back(find_spec(name));
-      }
-    }
+    if (!name.empty()) specs.push_back(find_spec(name));
     start = comma + 1;
   }
   return specs;
@@ -716,16 +674,14 @@ std::vector<HierarchySpec> parse_geometry_list(const std::string& list) {
 int main(int argc, char** argv) {
   bool json = false;
   std::string workload =
-      "470.lbm+spin:0.9:192,403.gcc+spin:0.9:192,"
-      "470.lbm+spin,403.gcc+spin,403.gcc,416.gamess";
+      "470.lbm,403.gcc,429.mcf,458.sjeng,403.gcc,416.gamess";
   std::string sweep = "1";
   std::uint64_t max_events = ~std::uint64_t{0};
   CliOptions cli(argv[0],
                  "co-run engine throughput vs the per-event reference");
   cli.flag("--json", &json, "emit the machine-readable report");
   cli.option("--workload", &workload, "A,B,...",
-             "consecutive entries form (self, peer) pairs; +spin[:p:r] "
-             "selects the spin variant");
+             "consecutive entries form (self, peer) pairs");
   cli.option_u64("--events", &max_events, 1, ~std::uint64_t{0}, "N",
                  "truncate each trace to N events");
   std::string sweep_geometry;

@@ -75,7 +75,9 @@ std::vector<JobRequest> build_mix(const HierarchySpec& hierarchy) {
   JobRequest stats;
   stats.kind = JobKind::kTraceStats;
   for (std::uint32_t i = 0; i < 512; ++i) {
-    stats.trace.push_run(i % 23, 3 + i % 9);
+    for (std::uint32_t k = 0; k < 3 + i % 9; ++k) {
+      stats.trace.push_symbol(i % 23);
+    }
   }
   mix.push_back(std::move(stats));
 
@@ -125,9 +127,6 @@ std::string json_report(const LoadGenOptions& load, const LoadGenReport& report,
   json.field("exec_wall_ms",
              static_cast<double>(report.cost.wall_nanos) / 1e6);
   json.field("cached_jobs", report.cost.cached_jobs);
-  // v4 receipts: adaptive-dispatch decisions summed over every kOk response.
-  json.field("dispatch_run", report.cost.dispatch_run);
-  json.field("dispatch_flat", report.cost.dispatch_flat);
   // v5 receipts: closed-form predictor work summed over every kOk response.
   json.field("predict_calls", report.cost.predict_calls);
   json.field("profile_memo_hits", report.cost.profile_memo_hits);

@@ -8,8 +8,7 @@ namespace codelayout {
 namespace {
 
 /// One fetch stream: a program replaying its block trace under a layout.
-/// The co-run and straight-line solo replays walk the trace's flat view
-/// (Trace::symbols()); the run-aware solo replay walks its runs instead.
+/// The co-run and solo replays walk the trace's symbols() event by event.
 /// All per-block facts come from the FetchPlan — one flat load per event.
 struct Stream {
   const BlockPlan* plan = nullptr;
@@ -42,6 +41,7 @@ Stream make_stream(const FetchPlan& plan, const Trace& trace,
                "fetch plan does not cover the trace's block space");
   Stream s;
   s.plan = plan.blocks().data();
+  s.symbols = trace.symbols();
   s.base = line_namespace;
   s.l1 = &front.cache();
   s.rng = Rng(options.seed).fork(rng_stream);
@@ -140,50 +140,9 @@ struct Kernel {
     }
   }
 
-  /// Straight-line solo replay: the co-run step at one stream with no stall.
+  /// Solo replay: the co-run step at one stream with no stall.
   static void solo(Stream& s, const Shared& sh) {
     while (!step(s, sh)) {
-    }
-  }
-
-  /// Run-aware solo replay: each run of r executions of one block costs one
-  /// fetch() plus counted hits. The run touches line ids [first_line,
-  /// first_line + line_count] (demand lines plus the wrong-path line plus
-  /// any next-line prefill target), i.e. line_count + 1 consecutive ids.
-  /// When that fits in the L1's set count, every id maps to a distinct set,
-  /// so nothing the run accesses can evict the run's own lines — after the
-  /// first execution every demand probe is an L1 hit (no downstream
-  /// traffic), and the per-set LRU order after the run matches per-event
-  /// replay (at most one of the run's lines per set, and nothing else
-  /// enters those sets meanwhile). Wrong-path coin flips still happen once
-  /// per event, keeping the RNG stream identical to per-event replay. A run
-  /// of a block wider than the set array is replayed per event.
-  static void solo_runs(Stream& s, std::span<const Run> runs,
-                        std::uint64_t sets, const Shared& sh,
-                        std::uint64_t& fast_runs,
-                        std::uint64_t& fallback_runs) {
-    for (const Run& run : runs) {
-      const BlockPlan& bp = s.plan[run.symbol];
-      if (run.length > 1 && bp.line_count + std::uint64_t{1} > sets) {
-        ++fallback_runs;
-        for (std::uint32_t i = 0; i < run.length; ++i) fetch(s, bp, sh);
-        continue;
-      }
-      ++fast_runs;
-      fetch(s, bp, sh);
-      const std::uint64_t rest = run.length - 1;
-      s.stats.blocks += rest;
-      s.stats.instructions += rest * bp.instr_count;
-      s.stats.overhead_instructions += rest * bp.overhead_instrs;
-      s.stats.line_probes += rest * bp.line_count;
-      if constexpr (kWrongPath) {
-        if (bp.branchy != 0) {
-          const std::uint64_t line = s.base + bp.first_line + bp.line_count;
-          for (std::uint64_t i = 0; i < rest; ++i) {
-            if (sh.wrong_path(s.rng)) wrong_path(s, line, sh);
-          }
-        }
-      }
     }
   }
 };
@@ -231,7 +190,6 @@ std::vector<SimResult> run_corun(std::span<const CorunSpec::Party> parties,
     streams.push_back(make_stream(*parties[i].plan, *parties[i].trace,
                                   static_cast<std::uint64_t>(i) << 40, options,
                                   /*rng_stream=*/i + 1, hier.front(i)));
-    streams.back().symbols = parties[i].trace->symbols();
     streams.back().speed = parties[i].speed;
   }
   const Shared shared = shared_state(hier, options, options.miss_stall_blocks);
@@ -257,8 +215,7 @@ std::vector<SimResult> run_corun(std::span<const CorunSpec::Party> parties,
 SimOptions hardware_proxy_options(std::uint64_t seed) {
   return SimOptions{.next_line_prefetch = true,
                     .wrong_path_rate = 0.08,
-                    .seed = seed,
-                    .dispatch = {}};
+                    .seed = seed};
 }
 
 std::vector<LevelStats> level_breakdown(const SimResult& sim,
@@ -289,33 +246,15 @@ double amat(const SimResult& sim, const HierarchySpec& hierarchy) {
 SimResult simulate_solo(const FetchPlan& plan, const Trace& trace,
                         const SimOptions& options) {
   CODELAYOUT_PHASE("icache_solo", "cache", "cache.icache_solo.wall_ns",
-                   {"events", std::uint64_t{trace.size()}},
-                   {"runs", std::uint64_t{trace.run_count()}});
+                   {"events", std::uint64_t{trace.size()}});
   CacheHierarchy hier(options.hierarchy);
   // Solo: namespace 0 and RNG stream 1, exactly co-run party 0's.
   Stream stream = make_stream(plan, trace, /*line_namespace=*/0, options,
                               /*rng_stream=*/1, hier.front(0));
   const Shared shared = shared_state(hier, options, /*miss_stall=*/0.0);
-  if (choose_path(options.dispatch, DispatchKernel::kIcacheSolo, trace) ==
-      KernelPath::kStraightLine) {
-    stream.symbols = trace.symbols();
-    with_kernel(options, [&](auto kernel) {
-      decltype(kernel)::solo(stream, shared);
-    });
-    return stream.stats;
-  }
-  std::uint64_t fast_runs = 0;
-  std::uint64_t fallback_runs = 0;
   with_kernel(options, [&](auto kernel) {
-    decltype(kernel)::solo_runs(stream, trace.runs(),
-                                options.hierarchy.l1.sets(), shared,
-                                fast_runs, fallback_runs);
+    decltype(kernel)::solo(stream, shared);
   });
-  MetricsRegistry& registry = MetricsRegistry::global();
-  if (registry.enabled()) {
-    registry.counter("cache.solo.runs_fast").add(fast_runs);
-    registry.counter("cache.solo.runs_fallback").add(fallback_runs);
-  }
   return stream.stats;
 }
 
@@ -369,24 +308,17 @@ Trace line_trace(const Module& module, const CodeLayout& layout,
   (void)module;
   CL_CHECK(block_trace.is_block());
   Trace out(Trace::Granularity::kBlock);
-  out.reserve(block_trace.run_count() * 2);
-  // Run transducer: one lines_of lookup per run. A single-line block's
-  // repeats coalesce into one run in O(1); multi-line blocks genuinely emit
-  // their line sequence per repeat (the boundary lines differ, so trimming
-  // keeps them), matching the flat expansion exactly.
-  for (const Run& r : block_trace.runs()) {
-    const auto span = layout.lines_of(BlockId(r.symbol), line_bytes);
-    if (span.line_count == 1) {
-      out.push_run(static_cast<Symbol>(span.first_line), r.length);
-      continue;
-    }
-    for (std::uint32_t rep = 0; rep < r.length; ++rep) {
-      for (std::uint32_t l = 0; l < span.line_count; ++l) {
-        out.push_symbol(static_cast<Symbol>(span.first_line + l));
-      }
+  out.reserve(block_trace.size());
+  // Consecutive blocks on one line collapse as the sequence is built, so the
+  // result is trimmed like every analysis trace.
+  for (const Symbol b : block_trace.symbols()) {
+    const auto span = layout.lines_of(BlockId(b), line_bytes);
+    for (std::uint32_t l = 0; l < span.line_count; ++l) {
+      const auto line = static_cast<Symbol>(span.first_line + l);
+      if (out.empty() || out.symbols().back() != line) out.push_symbol(line);
     }
   }
-  return out.trimmed();
+  return out;
 }
 
 }  // namespace codelayout

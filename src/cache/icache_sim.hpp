@@ -23,8 +23,7 @@
 // workload x optimizer, so every cell of a co-run matrix shares them).
 // Results are bit-identical between the two forms. Co-run simulation is one
 // per-event kernel with the flavour fixed at compile time (DESIGN.md §11);
-// solo simulation is the same kernel at one stream, or its run-aware replay,
-// bit-identical to it (DESIGN.md §8).
+// solo simulation is the same kernel at one stream.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +36,6 @@
 #include "cache/set_assoc.hpp"
 #include "ir/module.hpp"
 #include "layout/layout.hpp"
-#include "trace/dispatch.hpp"
 #include "trace/trace.hpp"
 
 namespace codelayout {
@@ -56,10 +54,6 @@ struct SimOptions {
   /// thread stalls and yields fetch slots, throttling its own pollution.
   double miss_stall_blocks = 2.0;
   std::uint64_t seed = 1;
-  /// Solo-path selection between the run-aware replay and the straight-line
-  /// flat-view kernel (trace/dispatch.hpp). Results and RNG streams are
-  /// bit-identical; co-run always replays per event and is unaffected.
-  AnalysisDispatch dispatch{};
 
   /// The front (L1) geometry — the level fetch plans are built for.
   [[nodiscard]] const CacheGeometry& geometry() const { return hierarchy.l1; }

@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "trace/dispatch.hpp"
 #include "trace/trace.hpp"
 
 namespace codelayout {
@@ -28,13 +27,9 @@ class FootprintCurve {
   /// Computes fp(w) for w = 0..trace length. `weights[s]` is the footprint
   /// contribution of symbol s (e.g. its size in cache lines or bytes);
   /// defaults to 1 (footprint in distinct symbols, as the paper
-  /// approximates). The gap pass dispatches between the run-aware collapse
-  /// and a straight-line flat-view scan (trace/dispatch.hpp); the double
-  /// accumulation order is identical either way, so the curve is
-  /// bit-identical on both paths.
+  /// approximates).
   static FootprintCurve compute(const Trace& trace,
-                                std::span<const std::uint32_t> weights = {},
-                                const AnalysisDispatch& dispatch = {});
+                                std::span<const std::uint32_t> weights = {});
 
   /// fp at (possibly fractional) window length, linearly interpolated and
   /// clamped to [0, n].
@@ -76,14 +71,13 @@ class FootprintCurve {
 /// of materializing it: perfmodel's solo profiles feed cache-line fetch
 /// streams straight from the fetch plan's per-block line spans. Consecutive
 /// duplicate symbols collapse to one window position exactly as
-/// Trace::trimmed() would drop them, and gap masses are exact integer-valued
-/// doubles (unit weights), so the finished curve is bit-identical to
-/// FootprintCurve::compute over the trimmed flat trace — the span collapse
-/// only changes the order exact integers are summed in.
+/// Trace::trimmed() would drop them, and gap masses are exact integer
+/// counts (unit weights), so the finished curve is bit-identical to
+/// FootprintCurve::compute over the trimmed flat trace.
 ///
 ///   FootprintBuilder builder(space);
-///   for (run : block_trace.runs())
-///     builder.span(plan.first_line, plan.line_count, run.length);
+///   for (block : block_trace.symbols())
+///     builder.span(plan[block].first_line, plan[block].line_count);
 ///   FootprintCurve curve = std::move(builder).finish();
 class FootprintBuilder {
  public:
@@ -91,21 +85,14 @@ class FootprintBuilder {
   /// space of the virtual trace).
   explicit FootprintBuilder(Symbol space);
 
-  /// Appends `repeats` back-to-back occurrences of the `count` consecutive
-  /// symbols [first, first + count): the line sequence of one code block
-  /// executed `repeats` times. A repeated multi-line span collapses to one
-  /// O(count) update — after trimming, every line's reuse gap inside the
-  /// repetition is exactly count - 1 — and a single-symbol span collapses to
-  /// at most one window position, so the kernel runs in O(runs * span_width),
-  /// independent of repeat counts.
-  void span(Symbol first, std::uint32_t count, std::uint64_t repeats);
+  /// Appends the `count` consecutive symbols [first, first + count): the
+  /// line sequence of one code block execution.
+  void span(Symbol first, std::uint32_t count);
 
   /// Trimmed window positions streamed so far (the virtual trace length).
   [[nodiscard]] std::uint64_t positions() const { return position_; }
 
-  /// Seals the stream: boundary gaps plus the suffix assembly. Records the
-  /// `locality.footprint.builder_spans` / `builder_collapsed_events` registry
-  /// counters when metrics are enabled.
+  /// Seals the stream: boundary gaps plus the suffix assembly.
   [[nodiscard]] FootprintCurve finish() &&;
 
  private:
@@ -116,24 +103,17 @@ class FootprintBuilder {
   /// trace-length-sized array keeps the stream compute-bound.
   static constexpr std::uint64_t kDenseGaps = 32768;
 
-  struct DeferredGap {
-    std::uint32_t gap;
-    std::uint32_t mass;
-  };
-
   void probe(Symbol s);
 
   std::uint64_t position_ = 0;
   std::uint64_t prev_ = ~std::uint64_t{0};  ///< last streamed symbol
   std::uint64_t raw_events_ = 0;  ///< pre-trim events, bounds any gap count
   double total_weight_ = 0.0;
-  std::uint64_t spans_ = 0;
-  std::uint64_t collapsed_events_ = 0;
   /// Unit-weight masses are exact counts; 32-bit cells halve the histogram's
   /// random-write traffic and cannot overflow while raw_events_ fits
   /// (checked per span).
   std::vector<std::uint32_t> gap_mass_;   ///< gaps < kDenseGaps
-  std::vector<DeferredGap> large_gaps_;   ///< gaps >= kDenseGaps, unmerged
+  std::vector<std::uint32_t> large_gaps_;  ///< gaps >= kDenseGaps, unmerged
   std::vector<std::uint64_t> first_;
   std::vector<std::uint64_t> last_;
 };

@@ -328,10 +328,10 @@ std::string encode_response_payload(const JobResponse& response,
     put_string(out, response.introspect);
   }
   if (version >= 4) {
-    // v4 trailing fields: adaptive-dispatch attribution.
-    put_varint(out, response.receipt.dispatch_run);
-    put_varint(out, response.receipt.dispatch_flat);
-    put_double(out, response.receipt.run_compression);
+    // Retired v4 slots (kernel-dispatch attribution): always 0, 0, 0.0.
+    put_varint(out, 0);
+    put_varint(out, 0);
+    put_double(out, 0.0);
   }
   if (version >= 5) {
     // v5 trailing fields: the co-schedule assignment + predictor attribution.
@@ -458,9 +458,10 @@ JobResponse decode_response_payload(std::string_view payload,
     response.introspect = in.str();
   }
   if (version >= 4) {
-    response.receipt.dispatch_run = in.varint();
-    response.receipt.dispatch_flat = in.varint();
-    response.receipt.run_compression = in.f64();
+    // Retired slots, written as 0, 0, 0.0.
+    in.varint();
+    in.varint();
+    in.f64();
   }
   if (version >= 5) {
     const std::uint64_t pair_count = in.varint();

@@ -35,12 +35,12 @@
 // Responses to v1/v2 requests are still stamped with the *request's* wire
 // version and omit every v3 field, so old clients see byte-identical frames.
 //
-// v3 -> v4 (adaptive dispatch): the CostReceipt grew trailing
-// dispatch_run/dispatch_flat varints (kernel-path decisions the job's
-// analyses made; see trace/dispatch.hpp) and a run_compression double (the
-// events-per-run ratio of the dispatched traces — what the decisions were
-// based on). The request payload is unchanged, so v4 cache keys equal v3
-// keys; responses to <= v3 requests omit the fields byte-for-byte.
+// v3 -> v4 (adaptive dispatch): the CostReceipt grew two trailing varints
+// and a double that attributed kernel-path decisions. Kernel dispatch has
+// since been removed; the slots keep their place and are written as 0, 0,
+// 0.0 and skipped on decode. The request payload is unchanged, so v4 cache
+// keys equal v3 keys; responses to <= v3 requests omit the slots
+// byte-for-byte.
 //
 // v4 -> v5 (co-scheduling): a new JobKind::kCoSchedule runs the analytic
 // co-scheduler (perfmodel/scheduler.hpp) over the request's `parties` as a
@@ -189,7 +189,8 @@ struct TraceStatsResult {
   std::uint64_t events = 0;
   std::uint64_t runs = 0;
   std::uint64_t distinct_symbols = 0;
-  std::uint64_t checksum = 0;  ///< FNV-1a over the run decomposition
+  /// FNV-1a over the trace's maximal (symbol, length) runs.
+  std::uint64_t checksum = 0;
 
   friend bool operator==(const TraceStatsResult&,
                          const TraceStatsResult&) = default;
@@ -211,15 +212,6 @@ struct CostReceipt {
   std::uint64_t queue_wait_nanos = 0;
   std::uint64_t wall_nanos = 0;       ///< execute wall time (0 when cached)
   bool cached = false;
-  /// v4: adaptive-dispatch decisions the job's analysis kernels made
-  /// (trace/dispatch.hpp) — how many chose the run-aware vs the
-  /// straight-line path.
-  std::uint64_t dispatch_run = 0;
-  std::uint64_t dispatch_flat = 0;
-  /// v4: events-per-run ratio aggregated over the dispatched traces (the
-  /// number the decisions compared against kernel thresholds); 0 when the
-  /// job dispatched nothing.
-  double run_compression = 0.0;
   /// v5: closed-form predictor attribution — predict_corun evaluations this
   /// job ran, and solo-profile memo lookups served without a kernel pass.
   std::uint64_t predict_calls = 0;

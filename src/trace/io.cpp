@@ -84,29 +84,38 @@ std::uint32_t get_varint32(std::istream& is, const char* what) {
 }  // namespace
 
 std::vector<RlePair> rle_encode(const Trace& trace) {
-  const std::span<const Run> runs = trace.runs();
-  return std::vector<RlePair>(runs.begin(), runs.end());
+  constexpr std::uint32_t kMaxRunLength = ~std::uint32_t{0};
+  std::vector<RlePair> pairs;
+  for (const Symbol s : trace.symbols()) {
+    if (!pairs.empty() && pairs.back().symbol == s &&
+        pairs.back().length != kMaxRunLength) {
+      ++pairs.back().length;
+    } else {
+      pairs.push_back(RlePair{s, 1});
+    }
+  }
+  return pairs;
 }
 
 Trace rle_decode(const std::vector<RlePair>& pairs, Trace::Granularity g) {
   Trace out(g);
-  out.reserve(pairs.size());
   for (const RlePair& p : pairs) {
     CL_CHECK_MSG(p.length > 0, "zero-length run in RLE stream");
-    out.push_run(p.symbol, p.length);
+    for (std::uint32_t k = 0; k < p.length; ++k) out.push_symbol(p.symbol);
   }
   return out;
 }
 
 void write_trace(std::ostream& os, const Trace& trace) {
+  const std::vector<RlePair> pairs = rle_encode(trace);
   put_u32(os, kMagic);
   put_u32(os, kVersion);
   put_u32(os, trace.is_block() ? 0u : 1u);
   put_u64(os, trace.size());
-  put_u64(os, trace.run_count());
-  for (const Run& r : trace.runs()) {
-    put_varint(os, r.symbol);
-    put_varint(os, r.length);
+  put_u64(os, pairs.size());
+  for (const RlePair& p : pairs) {
+    put_varint(os, p.symbol);
+    put_varint(os, p.length);
   }
   CL_CHECK_MSG(os.good(), "trace write failed");
 }
@@ -120,6 +129,11 @@ Trace read_trace(std::istream& is) {
   const auto gran = get_u32(is) == 0 ? Trace::Granularity::kBlock
                                      : Trace::Granularity::kFunction;
   const std::uint64_t events = get_u64(is);
+  // Runs expand into the flat buffer, so the declared total bounds what a
+  // few stream bytes can make the decoder allocate.
+  CL_CHECK_MSG(events <= kMaxTraceEvents,
+               "declared event count " << events << " exceeds the "
+                                       << kMaxTraceEvents << "-event cap");
   const std::uint64_t pairs = get_u64(is);
   // A hostile header can declare any run count; never trust it for an
   // allocation. Each pair costs >= 2 stream bytes, so a short stream runs out
@@ -141,7 +155,7 @@ Trace read_trace(std::istream& is) {
     // also rejects streams whose true total overflows 64 bits.
     CL_CHECK_MSG(length <= events - decoded,
                  "run lengths exceed declared event count");
-    out.push_run(symbol, length);
+    for (std::uint32_t k = 0; k < length; ++k) out.push_symbol(symbol);
     decoded += length;
   }
   CL_CHECK_MSG(decoded == events, "trace event count mismatch");

@@ -2,10 +2,11 @@
 // symbol mapping to files between the profiling run and the analysis).
 //
 // Format v2: magic, version, granularity, event count, run count, then
-// LEB128-varint (symbol, length) pairs taken straight from the Trace's run
-// storage — no decode/re-encode round trip on either side. RLE + varints
-// exploit loop-heavy traces' repetitiveness. v1 streams (fixed-width u32
-// pairs) remain readable.
+// LEB128-varint (symbol, length) pairs of the trace's maximal runs (a run
+// longer than 2^32 - 1 events splits into adjacent pairs). The writer finds
+// the runs on the fly and the reader expands them into the flat symbol
+// buffer. RLE + varints exploit loop-heavy traces' repetitiveness. v1
+// streams (fixed-width u32 pairs) remain readable.
 #pragma once
 
 #include <cstdint>
@@ -17,9 +18,19 @@
 
 namespace codelayout {
 
-/// Run-length encoding of a symbol sequence. A Trace already stores its runs;
-/// the serialized pair format is the same struct.
-using RlePair = Run;
+/// Longest trace read_trace accepts, in events. A stream declaring more is
+/// rejected from its header, before any run expands: a single ~12-byte pair
+/// can otherwise declare 2^32 - 1 events (16 GiB of symbols). Suite traces
+/// are at most ~800k events.
+inline constexpr std::uint64_t kMaxTraceEvents = std::uint64_t{1} << 26;
+
+/// One serialized run: `length` consecutive events of `symbol`.
+struct RlePair {
+  Symbol symbol;
+  std::uint32_t length;
+
+  friend bool operator==(const RlePair&, const RlePair&) = default;
+};
 
 std::vector<RlePair> rle_encode(const Trace& trace);
 
@@ -28,9 +39,10 @@ std::vector<RlePair> rle_encode(const Trace& trace);
 Trace rle_decode(const std::vector<RlePair>& pairs, Trace::Granularity g);
 
 /// Writes/reads the binary trace format. read_trace throws ContractError on a
-/// corrupt or hostile stream: bad magic, unsupported version, truncated
-/// payload or varint, varint overflow, zero-length run, or a run-length sum
-/// that mismatches (or overflows past) the declared event count.
+/// corrupt or hostile stream: bad magic, unsupported version, a declared
+/// event count above kMaxTraceEvents, truncated payload or varint, varint
+/// overflow, zero-length run, or a run-length sum that mismatches (or
+/// overflows past) the declared event count.
 void write_trace(std::ostream& os, const Trace& trace);
 Trace read_trace(std::istream& is);
 

@@ -8,7 +8,6 @@ namespace {
 
 constexpr std::uint32_t kEntryBytes = 24;
 constexpr std::uint32_t kBranchBytes = 16;
-constexpr std::uint32_t kSpinBytes = 16;
 constexpr std::uint32_t kReturnBytes = 16;
 constexpr std::uint32_t kDriverBodyBytes = 64;
 constexpr std::uint32_t kVisitBytes = 32;
@@ -34,23 +33,8 @@ FuncId build_hot_function(Module& m, const WorkloadSpec& spec, Rng& rng,
 
   BlockId prev = entry;       // falls through into the first branch
   for (std::uint32_t d = 0; d < diamonds; ++d) {
-    BlockId br;
-    // Optionally precede the diamond with a call-free self-looping spin
-    // block (a polling/latch loop): it re-executes with no callee events in
-    // between, so the trace records a long same-block run — the pattern the
-    // run-length trace core compresses. The spin_prob > 0 short-circuit
-    // keeps the RNG stream of spin-free specs untouched.
-    if (spec.spin_prob > 0.0 && rng.chance(spec.spin_prob)) {
-      const BlockId sp = m.add_block(f, kSpinBytes);
-      m.add_edge(prev, sp, 1.0, /*fallthrough=*/true);
-      const double back = spec.spin_repeat / (spec.spin_repeat + 1.0);
-      m.add_edge(sp, sp, back);
-      br = m.add_block(f, kBranchBytes);
-      m.add_edge(sp, br, 1.0 - back, /*fallthrough=*/true);
-    } else {
-      br = m.add_block(f, kBranchBytes);
-      m.add_edge(prev, br, 1.0, /*fallthrough=*/true);
-    }
+    const BlockId br = m.add_block(f, kBranchBytes);
+    m.add_edge(prev, br, 1.0, /*fallthrough=*/true);
 
     // Dense code (cold_blocks_per_diamond == 0): the branch either runs the
     // hot chain or skips straight to the join — no cold blocks at all.

@@ -47,13 +47,6 @@ struct WorkloadSpec {
   std::uint32_t cold_block_bytes = 160;
   double call_prob = 0.85;             ///< driver calls each hot function
   double util_call_prob = 0.35;        ///< hot block calls a shared utility
-  /// Probability that a diamond is preceded by a call-free self-looping
-  /// "spin" block (a polling/latch loop, the pattern behind long same-block
-  /// runs in real I-cache traces). 0 disables spin blocks entirely — the
-  /// generator then draws no extra randomness, so traces of spin-free specs
-  /// are unchanged.
-  double spin_prob = 0.0;
-  double spin_repeat = 16.0;           ///< mean spin-loop trips per entry
 
   // --- Cold static code (never or rarely executed) -------------------------
   /// When true (the C/C++-like default) cold functions are sprinkled between

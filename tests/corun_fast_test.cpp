@@ -224,29 +224,24 @@ std::vector<Flavour> flavours() {
 
 // ---- Fixtures ---------------------------------------------------------------
 
-/// First `n` events of `t`, preserving the run structure.
-Trace prefix_events(const Trace& t, std::size_t n) {
-  Trace out(t.granularity());
-  std::size_t taken = 0;
-  for (const Run& r : t.runs()) {
-    if (taken >= n) break;
-    const auto want =
-        static_cast<std::uint64_t>(std::min<std::size_t>(r.length, n - taken));
-    out.push_run(r.symbol, want);
-    taken += want;
+/// The first `prefix` events of a `seed`-profiled trace of `spec`, each
+/// profiled event pushed a seeded 1..max_repeat times: with max_repeat > 1
+/// the kernel also meets streams that hit the same lines for many rounds.
+Trace repeated_prefix(const Module& module, std::uint64_t seed,
+                      std::uint64_t events, std::size_t prefix,
+                      std::uint64_t max_repeat) {
+  const Trace base =
+      profile(module, seed, {.max_events = events, .max_call_depth = 64})
+          .block_trace;
+  Rng rng(seed);
+  Trace out(base.granularity());
+  for (const Symbol s : base.symbols()) {
+    for (std::uint64_t k = 1 + rng.below(max_repeat); k > 0; --k) {
+      if (out.size() == prefix) return out;
+      out.push_symbol(s);
+    }
   }
   return out;
-}
-
-/// A suite workload with the spin knob turned up: long same-block runs, so
-/// the kernel also meets streams that hit the same lines for many rounds.
-WorkloadSpec spin_variant(const std::string& base, double prob,
-                          double repeat) {
-  WorkloadSpec spec = find_spec(base);
-  spec.name = base + "+spin";
-  spec.spin_prob = prob;
-  spec.spin_repeat = repeat;
-  return spec;
 }
 
 struct Prepared {
@@ -255,13 +250,10 @@ struct Prepared {
   Trace trace;
 
   Prepared(const WorkloadSpec& spec, std::uint64_t seed, std::uint64_t events,
-           std::size_t prefix)
+           std::size_t prefix, std::uint64_t max_repeat = 1)
       : module(build_workload(spec)),
         layout(original_layout(module)),
-        trace(prefix_events(
-            profile(module, seed, {.max_events = events, .max_call_depth = 64})
-                .block_trace,
-            prefix)) {}
+        trace(repeated_prefix(module, seed, events, prefix, max_repeat)) {}
 
   [[nodiscard]] RefParty party(double speed = 1.0) const {
     return RefParty{&module, &layout, &trace, speed};
@@ -317,10 +309,10 @@ void expect_kernel_matches(const std::vector<RefParty>& parties,
 
 // ---- Whole-suite equivalence ------------------------------------------------
 
-TEST(CorunKernel, GoldenSuiteVsSpinPeerMatchesPerEventReplay) {
-  // Every suite workload co-run against one shared spin-heavy peer at a
-  // fractional speed, under every flavour.
-  const Prepared peer(spin_variant("403.gcc", 0.7, 48.0), 77, 40'000, 12'000);
+TEST(CorunKernel, GoldenSuiteVsRepeatingPeerMatchesPerEventReplay) {
+  // Every suite workload co-run against one shared peer with repeated
+  // events at a fractional speed, under every flavour.
+  const Prepared peer(find_spec("403.gcc"), 77, 40'000, 12'000, 8);
   ThreadPool pool(ThreadPool::default_threads());
   std::mutex mu;
   std::vector<std::string> failures;
@@ -353,11 +345,11 @@ TEST(CorunKernel, GoldenSuiteVsSpinPeerMatchesPerEventReplay) {
 
 // ---- Many-party mixes with fractional speeds --------------------------------
 
-TEST(CorunKernel, ManyPartySpinMixesMatchPerEventReplay) {
-  const Prepared a(spin_variant("470.lbm", 0.7, 48.0), 21, 20'000, 5'000);
-  const Prepared b(spin_variant("403.gcc", 0.6, 32.0), 22, 30'000, 10'000);
-  const Prepared c(spin_variant("416.gamess", 0.5, 24.0), 23, 30'000, 10'000);
-  const Prepared d(spin_variant("429.mcf", 0.7, 40.0), 24, 30'000, 10'000);
+TEST(CorunKernel, ManyPartyRepeatingMixesMatchPerEventReplay) {
+  const Prepared a(find_spec("470.lbm"), 21, 20'000, 5'000, 8);
+  const Prepared b(find_spec("403.gcc"), 22, 30'000, 10'000, 8);
+  const Prepared c(find_spec("416.gamess"), 23, 30'000, 10'000, 8);
+  const Prepared d(find_spec("429.mcf"), 24, 30'000, 10'000, 8);
   const Prepared* peers[] = {&b, &c, &d};
   const double speeds[] = {0.5, 1.7, 0.25};
 
@@ -373,8 +365,8 @@ TEST(CorunKernel, ManyPartySpinMixesMatchPerEventReplay) {
 
 TEST(CorunKernel, FastPeerSpeedMatchesPerEventReplay) {
   // speed > 1 makes peers take several steps per round.
-  const Prepared a(spin_variant("470.lbm", 0.7, 48.0), 31, 20'000, 4'000);
-  const Prepared b(spin_variant("403.gcc", 0.7, 48.0), 32, 30'000, 12'000);
+  const Prepared a(find_spec("470.lbm"), 31, 20'000, 4'000, 8);
+  const Prepared b(find_spec("403.gcc"), 32, 30'000, 12'000, 8);
   const SimOptions options = hardware_proxy_options();
   const double speed = 3.0;
   const CorunResult got =
@@ -388,8 +380,8 @@ TEST(CorunKernel, FastPeerSpeedMatchesPerEventReplay) {
 // ---- Degenerate geometries --------------------------------------------------
 
 TEST(CorunKernel, DegenerateGeometriesMatchPerEventReplay) {
-  const Prepared a(spin_variant("470.lbm", 0.6, 32.0), 41, 20'000, 4'000);
-  const Prepared b(spin_variant("416.gamess", 0.6, 32.0), 42, 20'000, 8'000);
+  const Prepared a(find_spec("470.lbm"), 41, 20'000, 4'000, 8);
+  const Prepared b(find_spec("416.gamess"), 42, 20'000, 8'000, 8);
 
   const CacheGeometry geometries[] = {
       {256, 4, 64},   // a single set: everything conflicts
@@ -411,7 +403,7 @@ TEST(CorunKernel, TwoLevelHierarchiesMatchPerEventReplay) {
   const Prepared a(find_spec("403.gcc"), 71, 30'000, 8'000);
   const Prepared b(find_spec("416.gamess"), 72, 30'000, 10'000);
   const Prepared c(find_spec("429.mcf"), 73, 30'000, 10'000);
-  const Prepared d(spin_variant("470.lbm", 0.6, 32.0), 74, 20'000, 6'000);
+  const Prepared d(find_spec("470.lbm"), 74, 20'000, 6'000, 8);
 
   for (const char* text :
        {"32K/4/64+l2=256K/8/64", "16K/2/64+l2=256K/8/64",
@@ -433,8 +425,8 @@ TEST(CorunKernel, TwoLevelHierarchiesMatchPerEventReplay) {
 // ---- Entry points -----------------------------------------------------------
 
 TEST(CorunKernel, TwoWayEntryPointIsTheSpecKernelAtTwoParties) {
-  const Prepared a(spin_variant("470.lbm", 0.7, 48.0), 51, 20'000, 5'000);
-  const Prepared b(spin_variant("403.gcc", 0.7, 48.0), 52, 20'000, 8'000);
+  const Prepared a(find_spec("470.lbm"), 51, 20'000, 5'000, 8);
+  const Prepared b(find_spec("403.gcc"), 52, 20'000, 8'000, 8);
   const SimOptions options = hardware_proxy_options();
   const FetchPlan plan_a(a.module, a.layout, options.geometry().line_bytes);
   const FetchPlan plan_b(b.module, b.layout, options.geometry().line_bytes);
@@ -454,7 +446,7 @@ TEST(CorunKernel, TwoWayEntryPointIsTheSpecKernelAtTwoParties) {
 }
 
 TEST(CorunKernel, MeasuredPartyMustRunAtUnitSpeed) {
-  const Prepared a(spin_variant("470.lbm", 0.5, 24.0), 61, 10'000, 2'000);
+  const Prepared a(find_spec("470.lbm"), 61, 10'000, 2'000, 8);
   const FetchPlan plan(a.module, a.layout, kL1I.line_bytes);
   EXPECT_THROW(
       simulate_corun(CorunSpec{{{&plan, &a.trace, 0.5}, {&plan, &a.trace, 1.0}},

@@ -1,12 +1,10 @@
-// Regenerates tests/golden_suite.inc — the pre-refactor golden checksums the
-// run-equivalence suite (trace_runs_test) compares against.
+// Regenerates tests/golden_suite.inc — the golden checksums golden_test
+// compares against.
 //
-// The table currently checked in was captured from the flat-vector Trace
-// implementation (seed state, before the run-length-encoded core), so the
-// golden test proves the run-aware kernels reproduce the original outputs bit
-// for bit. Only regenerate this table when an intentional behaviour change
-// lands (and say so in the commit): `./tests/golden_capture >
-// tests/golden_suite.inc`.
+// The table checked in was captured from the flat-vector Trace
+// implementation, and every kernel change since has reproduced it bit for
+// bit. Only regenerate it when an intentional behaviour change lands (and
+// say so in the commit): `./tests/golden_capture > tests/golden_suite.inc`.
 #include <cstdio>
 
 #include "cache/icache_sim.hpp"

@@ -2,6 +2,7 @@
 // log-bucketed histogram summaries, the JSON dump, and the Prometheus text
 // exposition.
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -74,6 +75,25 @@ TEST(LatencyHistogramTest, QuantilesSeparateTwoModes) {
   EXPECT_GE(s.p99, 524288.0);
   EXPECT_EQ(s.min, 1000u);
   EXPECT_EQ(s.max, 1'000'000u);
+}
+
+TEST(LatencyHistogramTest, TopBucketQuantilesAreFiniteAndOrdered) {
+  // Values >= 2^63 land in the last bucket, [2^63, 2^64): its upper bound
+  // is not representable as a 64-bit shift, and the interpolated quantiles
+  // must still stay inside the bucket and in order.
+  LatencyHistogram h;
+  h.record(std::uint64_t{1} << 63);
+  h.record(~std::uint64_t{0});
+  const LatencyHistogram::Summary s = h.summary();
+  const double lo = std::ldexp(1.0, 63);
+  const double hi = std::ldexp(1.0, 64);
+  for (const double q : {s.p50, s.p90, s.p99}) {
+    EXPECT_TRUE(std::isfinite(q));
+    EXPECT_GE(q, lo);
+    EXPECT_LE(q, hi);
+  }
+  EXPECT_LE(s.p50, s.p90);
+  EXPECT_LE(s.p90, s.p99);
 }
 
 TEST(LatencyHistogramTest, EmptySummaryIsAllZero) {

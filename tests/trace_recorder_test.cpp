@@ -342,10 +342,11 @@ TEST(TraceRecorderTest, MergeToleratesAnEmptySide) {
 TEST(TraceRecorderTest, KernelResultsIdenticalWithObservabilityOn) {
   ObservabilityOff guard;
   Trace trace(Trace::Granularity::kFunction);
-  // Deterministic pseudo-random-ish run pattern over 16 symbols.
+  // Deterministic pseudo-random-ish repeat pattern over 16 symbols.
   for (int i = 0; i < 2000; ++i) {
-    trace.push_run(static_cast<Symbol>((i * 7 + i / 13) % 16),
-                   1 + (i * 5) % 9);
+    for (int k = 0; k <= (i * 5) % 9; ++k) {
+      trace.push_symbol(static_cast<Symbol>((i * 7 + i / 13) % 16));
+    }
   }
 
   TraceRecorder::instance().disable();

@@ -318,6 +318,23 @@ TEST(TraceIoHostile, HugeDeclaredRunCountDoesNotPreallocate) {
   EXPECT_THROW(read_trace(ss), ContractError);
 }
 
+TEST(TraceIoHostile, DeclaredEventCountAboveCapThrowsWithoutAllocating) {
+  // One well-formed pair declaring a run of 2^32 - 1 events: expanding it
+  // would allocate 16 GiB of symbols. The header's event count alone must
+  // reject the stream, before any run is read.
+  std::string s = header(2, ~std::uint32_t{0}, 1);
+  append_varint(s, 1);
+  append_varint(s, ~std::uint32_t{0});
+  EXPECT_NE(thrown_message(s).find("event cap"), std::string::npos);
+  // The boundary: a declared count of exactly kMaxTraceEvents passes the
+  // header check (and then fails on its missing runs), one more does not.
+  EXPECT_NE(thrown_message(header(2, kMaxTraceEvents, 0))
+                .find("event count mismatch"),
+            std::string::npos);
+  EXPECT_NE(thrown_message(header(2, kMaxTraceEvents + 1, 0)).find("event cap"),
+            std::string::npos);
+}
+
 TEST(TraceIoHostile, UnsupportedVersionThrows) {
   const std::string s = header(3, 0, 0);
   EXPECT_NE(thrown_message(s).find("unsupported trace version"),
