@@ -10,10 +10,10 @@
 // I-cache sim).
 //
 // The suite also measures the parallel analysis front end: the `affinity`
-// and `trg_build` kernels run the production fan-out (affinity w-grid over a
-// shared pool; sharded TRG build) at every thread count in --sweep-threads,
-// reporting per-count throughput plus an FNV checksum of the result — equal
-// checksums across counts are the bit-identity proof, and CI asserts it.
+// kernel runs the production fan-out (the w-grid over a shared pool) at
+// every thread count in --sweep-threads, reporting per-count throughput plus
+// an FNV checksum of the result — equal checksums across counts are the
+// bit-identity proof, and CI asserts it.
 // Each measurement uses a pool of (threads - 1) workers because the calling
 // thread participates (help-first), keeping the OS thread count equal to the
 // nominal sweep value.
@@ -430,9 +430,9 @@ WorkloadReport measure_workload(const WorkloadSpec& spec,
       "trg", n, [&] { return Trg::build(trace, trg_config); },
       [](const Trg& graph) { return hash_trg(graph); }));
 
-  // Parallel analysis front end: the same production entry points the Lab
-  // drives, swept over thread counts. The serial cells come first; every
-  // sweep cell's checksum must then match them (attach_sweep), which is the
+  // Parallel analysis front end: the same production entry point the Lab
+  // drives, swept over thread counts. The serial cell comes first; every
+  // sweep cell's checksum must then match it (attach_sweep), which is the
   // bit-identity proof across thread counts.
   KernelReport affinity = measure_kernel(
       "affinity", n, [&] { return analyze_affinity(trimmed); },
@@ -444,17 +444,6 @@ WorkloadReport measure_workload(const WorkloadSpec& spec,
                  return hash_hierarchy(analyze_affinity(trimmed, config));
                }));
   report.kernels.push_back(std::move(affinity));
-
-  KernelReport trg_build = measure_kernel(
-      "trg_build", n, [&] { return Trg::build(trace, trg_config); },
-      [](const Trg& graph) { return hash_trg(graph); });
-  attach_sweep(trg_build,
-               sweep_kernel(n, sweep_threads, [&](ThreadPool* pool) {
-                 TrgConfig config = trg_config;
-                 config.pool = pool;
-                 return hash_trg(Trg::build(trace, config));
-               }));
-  report.kernels.push_back(std::move(trg_build));
 
   // Bare-LRU simulation (the paper's Pin-simulator flavour).
   const SimOptions sim_options{};

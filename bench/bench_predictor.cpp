@@ -11,8 +11,10 @@
 // are always evaluated for the whole matrix (they are microseconds each) and
 // hashed into `matrix_checksum`, so a sampled CI run still pins the exact
 // model output; --sample S restricts only the simulated (verification) side
-// to S deterministically-spread pairs, with the full-matrix simulation wall
-// extrapolated from the sampled per-pair cost.
+// to S deterministically-spread pairs, with the full-matrix simulation cost
+// extrapolated from the sampled per-pair cost. The screening speedup is a
+// ratio of process CPU time (full-matrix simulation over profiles plus
+// predictions), so it does not move with the number of threads or cores.
 //
 //   bench_predictor [--sample S] [--workload A,B,...] [--json] [--threads N]
 //                   [--geometry G] [--l2 G]
@@ -28,6 +30,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,6 +67,14 @@ double wall_ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// CPU time of the whole process (every thread), in milliseconds.
+double process_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) * 1e-6;
+}
+
 struct PairError {
   std::size_t self = 0;
   std::size_t peer = 0;
@@ -98,7 +109,7 @@ ErrorStats summarize(std::vector<double> errors) {
 }
 
 void append_format(std::string& out, const char* fmt, ...) {
-  char buf[512];
+  char buf[1024];
   va_list args;
   va_start(args, fmt);
   std::vsnprintf(buf, sizeof buf, fmt, args);
@@ -171,13 +182,16 @@ int main(int argc, char** argv) {
 
   // --- Screening: N profile builds + N^2 closed-form predictions -------------
   const auto profile_start = std::chrono::steady_clock::now();
+  const double profile_cpu_start = process_cpu_ms();
   for (const std::string& name : names) {
     (void)lab.solo_profile(name, std::nullopt, hierarchy.l1.line_bytes);
   }
+  const double profile_cpu_ms = process_cpu_ms() - profile_cpu_start;
   const double profile_wall_ms = wall_ms_since(profile_start);
 
   std::vector<CorunPrediction> predictions(pairs_total);
   const auto predict_start = std::chrono::steady_clock::now();
+  const double predict_cpu_start = process_cpu_ms();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       predictions[i * n + j] = lab.predict_corun(names[i], std::nullopt,
@@ -185,8 +199,9 @@ int main(int argc, char** argv) {
                                                  hierarchy);
     }
   }
+  const double predict_cpu_ms = process_cpu_ms() - predict_cpu_start;
   const double predict_wall_ms = wall_ms_since(predict_start);
-  const double screen_wall_ms = profile_wall_ms + predict_wall_ms;
+  const double screen_cpu_ms = profile_cpu_ms + predict_cpu_ms;
 
   // The exact model output, pinned: a sampled CI run hashes the same full
   // matrix as the checked-in baseline, so model drift fails the checksum
@@ -206,11 +221,14 @@ int main(int argc, char** argv) {
         Measure::kSimulator, hierarchy));
   }
   const auto sim_start = std::chrono::steady_clock::now();
+  const double sim_cpu_start = process_cpu_ms();
   lab.evaluate_all(sim_requests);
+  const double sim_cpu_ms = process_cpu_ms() - sim_cpu_start;
   const double sim_wall_ms = wall_ms_since(sim_start);
-  const double sim_wall_est_ms =
-      sim_wall_ms * static_cast<double>(pairs_total) /
-      static_cast<double>(measured.size());
+  const double sim_scale = static_cast<double>(pairs_total) /
+                           static_cast<double>(measured.size());
+  const double sim_wall_est_ms = sim_wall_ms * sim_scale;
+  const double sim_cpu_est_ms = sim_cpu_ms * sim_scale;
 
   std::vector<EvalRequest> solo_requests;
   for (const std::string& name : names) {
@@ -243,24 +261,28 @@ int main(int argc, char** argv) {
   }
   const ErrorStats corun_stats = summarize(corun_errors);
   const ErrorStats solo_stats = summarize(solo_errors);
+  // CPU time on both sides: the simulations fan out over the Lab's threads
+  // while the screen runs on one, so a wall-time ratio would measure the
+  // host's core count rather than the work each side does.
   const double screening_speedup =
-      screen_wall_ms > 0.0 ? sim_wall_est_ms / screen_wall_ms : 0.0;
+      screen_cpu_ms > 0.0 ? sim_cpu_est_ms / screen_cpu_ms : 0.0;
 
   // --- Report ----------------------------------------------------------------
   std::printf(
       "Analytic co-run screening: %zu workloads, %zu/%zu pairs simulated "
       "(geometry %s)\n\n",
       n, measured.size(), pairs_total, hierarchy.to_string().c_str());
-  std::printf("  profiles     %10.1f ms  (%zu builds)\n", profile_wall_ms, n);
+  std::printf("  profiles     %10.1f ms  (%zu builds, %.1f ms CPU)\n",
+              profile_wall_ms, n, profile_cpu_ms);
   std::printf("  predictions  %10.1f ms  (%zu pairs, %.2f us each)\n",
               predict_wall_ms, pairs_total,
               1e3 * predict_wall_ms / static_cast<double>(pairs_total));
-  std::printf("  simulations  %10.1f ms  (%zu pairs%s)\n", sim_wall_ms,
-              measured.size(),
-              measured.size() == pairs_total ? "" : ", sampled");
-  std::printf("  screening speedup %.0fx (est. full-matrix sim %.0f ms vs "
-              "%.1f ms screen)\n\n",
-              screening_speedup, sim_wall_est_ms, screen_wall_ms);
+  std::printf("  simulations  %10.1f ms  (%zu pairs%s, %.1f ms CPU)\n",
+              sim_wall_ms, measured.size(),
+              measured.size() == pairs_total ? "" : ", sampled", sim_cpu_ms);
+  std::printf("  screening speedup %.0fx (est. full-matrix sim %.0f ms CPU "
+              "vs %.1f ms CPU screen)\n\n",
+              screening_speedup, sim_cpu_est_ms, screen_cpu_ms);
   std::printf("  co-run miss-ratio error: mean %.5f  p95 %.5f  max %.5f\n",
               corun_stats.mean, corun_stats.p95, corun_stats.worst);
   std::printf("  solo   miss-ratio error: mean %.5f  max %.5f\n",
@@ -291,6 +313,8 @@ int main(int argc, char** argv) {
                   " \"pairs_measured\": %zu, \"geometry\": \"%s\","
                   " \"profile_wall_ms\": %.3f, \"predict_wall_ms\": %.3f,"
                   " \"sim_wall_ms\": %.3f, \"sim_wall_est_ms\": %.3f,"
+                  " \"profile_cpu_ms\": %.3f, \"predict_cpu_ms\": %.3f,"
+                  " \"sim_cpu_ms\": %.3f,"
                   " \"screening_speedup\": %.1f,"
                   " \"predict_per_pair_us\": %.3f,"
                   " \"corun_err_mean\": %.6f, \"corun_err_p95\": %.6f,"
@@ -300,7 +324,8 @@ int main(int argc, char** argv) {
                   std::thread::hardware_concurrency(), n, pairs_total,
                   measured.size(), hierarchy.to_string().c_str(),
                   profile_wall_ms, predict_wall_ms, sim_wall_ms,
-                  sim_wall_est_ms, screening_speedup,
+                  sim_wall_est_ms, profile_cpu_ms, predict_cpu_ms,
+                  sim_cpu_ms, screening_speedup,
                   1e3 * predict_wall_ms / static_cast<double>(pairs_total),
                   corun_stats.mean, corun_stats.p95, corun_stats.worst,
                   solo_stats.mean, solo_stats.worst,

@@ -204,7 +204,7 @@ const CodeLayout& Lab::layout(const std::string& name,
   return layouts_.get_or_compute(key, counters(Stage::kLayout), [&] {
     CODELAYOUT_PHASE("layout", "lab", "lab.layout.wall_ns",
                      {"workload", name}, {"optimizer", opt_label(optimizer)});
-    // Fan the analysis kernels out over the engine pool. This is safe even
+    // Fan the affinity analysis out over the engine pool. This is safe even
     // though this memo compute may itself be running *on* that pool: the
     // analysis layer uses help-first task sets (see support/parallel.hpp),
     // so its progress never depends on a queued helper being scheduled.

@@ -83,10 +83,9 @@ std::vector<Symbol> model_sequence(const PreparedWorkload& prepared,
       optimizer.granularity == Granularity::kFunction
           ? config.trg_function_bytes
           : config.trg_block_bytes;
-  TrgConfig trg_config{
+  const TrgConfig trg_config{
       .window_entries = trg_window_entries(config.trg_cache_bytes,
-                                           assumed_bytes),
-      .pool = config.analysis_pool};
+                                           assumed_bytes)};
   const Trg graph = [&] {
     CODELAYOUT_PHASE("trg_build", "pipeline", "pipeline.trg_build.wall_ns",
                      {"window", trg_config.window_entries});

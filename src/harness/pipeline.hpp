@@ -58,10 +58,10 @@ struct PipelineConfig {
   std::uint32_t trg_function_bytes = 512;  ///< assumed function size
   std::uint64_t profile_seed = 101;  ///< "test" input
   std::uint64_t eval_seed = 707;     ///< "reference" input
-  /// Optional shared worker pool for the analysis kernels: fans the affinity
-  /// w-grid and the TRG build shards out while the calling thread
-  /// participates. Non-owning; nullptr = serial. Model outputs are
-  /// bit-identical either way (the parallel decompositions are exact).
+  /// Optional shared worker pool for the affinity analysis: fans its w-grid
+  /// out while the calling thread participates. Non-owning; nullptr =
+  /// serial. Model outputs are bit-identical either way (the decomposition
+  /// is exact). The TRG build is serial.
   ThreadPool* analysis_pool = nullptr;
 };
 

@@ -47,22 +47,6 @@ std::size_t LruStack::depth_of(Symbol s) const {
   return depth;
 }
 
-std::vector<Symbol> LruStack::snapshot() const {
-  std::vector<Symbol> out;
-  out.reserve(count_);
-  for (Symbol cur = head_; cur != kNil; cur = next_[cur]) out.push_back(cur);
-  return out;
-}
-
-void LruStack::restore(std::span<const Symbol> top_to_bottom) {
-  clear();
-  for (std::size_t i = top_to_bottom.size(); i-- > 0;) {
-    const Symbol s = top_to_bottom[i];
-    CL_DCHECK(!resident(s));
-    touch(s);
-  }
-}
-
 void LruStack::clear() {
   for (Symbol cur = head_; cur != kNil;) {
     const Symbol nxt = next_[cur];

@@ -66,19 +66,6 @@ class LruStack {
   /// resident. O(depth).
   [[nodiscard]] std::size_t depth_of(Symbol s) const;
 
-  /// The resident symbols, topmost first — a portable snapshot of the stack
-  /// state. restore(snapshot()) reproduces the exact state.
-  [[nodiscard]] std::vector<Symbol> snapshot() const;
-
-  /// Resets the stack to exactly `top_to_bottom` (topmost first, distinct
-  /// symbols). No eviction is applied; the caller is responsible for the
-  /// weight budget. Used by the sharded TRG build to warm-start a worker at a
-  /// chunk boundary: the capped stack's state at any trace position is the
-  /// maximal weight-<=cap prefix of the last-occurrence (recency) order of
-  /// the preceding events, which a backward scan can reconstruct without
-  /// replaying the prefix.
-  void restore(std::span<const Symbol> top_to_bottom);
-
   void clear();
 
  private:

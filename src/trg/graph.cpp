@@ -1,13 +1,10 @@
 #include "trg/graph.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "locality/lru_stack.hpp"
 #include "support/check.hpp"
-#include "support/parallel.hpp"
-#include "support/registry.hpp"
-#include "support/thread_pool.hpp"
-#include "support/trace_recorder.hpp"
 
 namespace codelayout {
 namespace {
@@ -16,70 +13,6 @@ inline std::uint64_t edge_key(Symbol a, Symbol b) {
   const Symbol lo = a < b ? a : b;
   const Symbol hi = a < b ? b : a;
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
-
-/// Partial result of one build shard: chunk-local first-appearance node
-/// order plus the chunk's edge contributions.
-struct BuildShard {
-  std::vector<Symbol> nodes;
-  FlatKeyMap<Trg::Weight> edges;
-  std::uint64_t warmup_scanned_events = 0;
-};
-
-/// Processes events [lo, hi) against `stack` (already in the exact serial
-/// state at lo), recording nodes in first-appearance order and edge credits
-/// for events inside the chunk. A repeat event is a stack no-op (the symbol
-/// is already on top: for_above yields nothing and touch early-returns), so
-/// the untrimmed trace builds the same graph as its trimmed form.
-void shard_scan(std::span<const Symbol> events, std::size_t lo,
-                std::size_t hi, LruStack& stack, std::uint32_t window_entries,
-                Symbol space, BuildShard& shard) {
-  std::vector<std::uint8_t> noted(space, 0);
-  for (std::size_t j = lo; j < hi; ++j) {
-    const Symbol a = events[j];
-    if (!noted[a]) {
-      noted[a] = 1;
-      shard.nodes.push_back(a);
-    }
-    if (stack.resident(a)) {
-      // Everything above `a` occurred between its two successive
-      // occurrences — one potential conflict per such pair (Definition 6).
-      stack.for_above(a, [&](Symbol b) {
-        if (!noted[b]) {
-          noted[b] = 1;
-          shard.nodes.push_back(b);
-        }
-        shard.edges[edge_key(a, b)] += 1;
-        return true;
-      });
-    }
-    stack.touch(a);
-    stack.evict_to_weight(window_entries);
-  }
-}
-
-/// Reconstructs the serial stack state at event `lo`: the state of a
-/// weight-capped LRU stack is the maximal <=cap prefix of the recency
-/// (last-occurrence) order of the preceding events, so a backward scan that
-/// collects each symbol at its first (most recent) sighting, stopping at the
-/// cap, recovers it exactly — no forward replay of the prefix needed. TRG
-/// stacks use unit weights, so the cap is a plain entry count. Returns the
-/// number of events scanned.
-std::uint64_t warm_start(std::span<const Symbol> events, std::size_t lo,
-                         std::uint32_t window_entries, Symbol space,
-                         LruStack& stack) {
-  std::vector<Symbol> recent;  // topmost first
-  std::vector<std::uint8_t> seen(space, 0);
-  std::size_t scanned = 0;
-  for (std::size_t j = lo; j-- > 0 && recent.size() < window_entries;) {
-    ++scanned;
-    const Symbol s = events[j];
-    if (seen[s]) continue;
-    seen[s] = 1;
-    recent.push_back(s);
-  }
-  stack.restore(recent);
-  return scanned;
 }
 
 }  // namespace
@@ -107,64 +40,46 @@ std::uint32_t trg_slot_count(std::uint64_t cache_bytes, std::uint32_t assoc,
 
 Trg Trg::build(const Trace& trace, const TrgConfig& config) {
   CL_CHECK(config.window_entries > 0);
-
-  Trg graph;
-  const Symbol space = trace.symbol_space();
-  if (space == 0) return graph;
-
   const std::span<const Symbol> events = trace.symbols();
-  std::size_t shard_count = config.shards;
-  if (shard_count == 0) {
-    shard_count = config.pool == nullptr ? 1 : config.pool->size() + 1;
-  }
-  shard_count = std::min<std::size_t>(shard_count, events.size());
-  std::uint64_t warmup_scanned = 0;
+  // A count grows by at most one per event, so u32 cells cannot overflow.
+  CL_CHECK(events.size() <= std::numeric_limits<std::uint32_t>::max());
 
-  if (shard_count <= 1) {
-    LruStack stack(space);
-    BuildShard whole;
-    shard_scan(events, 0, events.size(), stack, config.window_entries, space,
-               whole);
-    for (const Symbol s : whole.nodes) graph.note_node(s);
-    whole.edges.for_each([&](std::uint64_t key, const Weight& w) {
-      graph.edges_[key] = w;
-    });
-  } else {
-    std::vector<BuildShard> shards(shard_count);
-    const auto chunk_begin = [&](std::size_t k) {
-      return events.size() * k / shard_count;
-    };
-    ParallelTaskSet tasks(config.pool, shard_count, [&](std::size_t k) {
-      CODELAYOUT_PHASE("trg_shard", "analysis", "analysis.trg_shard.wall_ns",
-                       {"shard", std::uint64_t{k}});
-      const std::size_t lo = chunk_begin(k);
-      LruStack stack(space);
-      shards[k].warmup_scanned_events =
-          warm_start(events, lo, config.window_entries, space, stack);
-      shard_scan(events, lo, chunk_begin(k + 1), stack, config.window_entries,
-                 space, shards[k]);
-    });
-    // Fold in chunk order as shards complete: concatenating the chunk-local
-    // first-appearance lists and keeping each symbol's first sighting
-    // reproduces the serial first-appearance order (a symbol credited from
-    // warm-up residency necessarily occurred in an earlier chunk), and edge
-    // weights add because every event belongs to exactly one chunk.
-    for (std::size_t k = 0; k < shard_count; ++k) {
-      tasks.wait(k);
-      for (const Symbol s : shards[k].nodes) graph.note_node(s);
-      shards[k].edges.for_each([&](std::uint64_t key, const Weight& w) {
-        graph.edges_[key] += w;
+  // Renumber the symbols to first-appearance indices: nodes_ is the order.
+  Trg graph;
+  for (const Symbol s : events) graph.note_node(s);
+  const std::size_t n = graph.nodes_.size();
+  CL_CHECK_MSG(n <= kMaxTrgNodes,
+               n << " distinct symbols exceed the TRG build's cap of "
+                 << kMaxTrgNodes << "; pass a pruned trace");
+
+  // m[a * n + b] counts the reuses of a that b interleaved (Definition 6).
+  // A repeat event is a stack no-op (the symbol is already on top: for_above
+  // yields nothing and touch early-returns), so the untrimmed trace builds
+  // the same graph as its trimmed form.
+  std::vector<std::uint32_t> m(n * n, 0);
+  LruStack stack(static_cast<Symbol>(n));
+  for (const Symbol s : events) {
+    const std::uint32_t a = graph.node_index_[s];
+    if (stack.resident(a)) {
+      std::uint32_t* row = m.data() + a * n;
+      stack.for_above(a, [row](Symbol b) {
+        ++row[b];
+        return true;
       });
-      warmup_scanned += shards[k].warmup_scanned_events;
+    }
+    stack.touch(a);
+    stack.evict_to_weight(config.window_entries);
+  }
+
+  // The undirected weight of {i, j} is m[i][j] + m[j][i]; the sum fits in
+  // u32, since it is at most the reuse count of i plus that of j.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const std::uint32_t w = m[i * n + j] + m[j * n + i];
+      if (w != 0) graph.edges_[edge_key(graph.nodes_[i], graph.nodes_[j])] = w;
     }
   }
-
   graph.ensure_adjacency();
-  MetricsRegistry& registry = MetricsRegistry::global();
-  if (registry.enabled()) {
-    registry.counter("trg.build.shards").add(shard_count);
-    registry.counter("trg.build.warmup_events").add(warmup_scanned);
-  }
   return graph;
 }
 
@@ -233,7 +148,7 @@ void Trg::ensure_adjacency() const {
     adj_[cursor[node_position(hi)]++] = Neighbor{lo, w};
   });
   // Sort each slice by neighbor symbol so iteration order is deterministic
-  // regardless of the accumulator's internal layout (and of shard count).
+  // regardless of the accumulator's internal layout.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     std::sort(adj_.begin() + adj_offsets_[i],
               adj_.begin() + adj_offsets_[i + 1],

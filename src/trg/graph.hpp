@@ -8,23 +8,24 @@
 // follows Gloy & Smith's advice of examining a window of twice the cache
 // size): on a reuse of block A, every block above A on the stack occurred
 // between A's two successive occurrences, so each such pair's edge weight is
-// incremented. The stack uses the hash-table-plus-list layout of Sec. II-F
-// for O(1) touch.
+// incremented.
 //
-// Storage is flat: edges accumulate in one open-addressing table keyed by
-// the packed (lo, hi) pair, and neighbors() reads a CSR adjacency built from
-// that table, so both edges_by_weight() and the reduction's neighbor scans
-// walk contiguous memory instead of a hash map of hash maps.
+// The paper keeps the per-pair counts in a hash table (Sec. II-F). Here the
+// build renumbers the trace's symbols to first-appearance indices 0..n-1 and
+// counts into one row-major n x n table instead: a reuse of A walks the
+// stack once and bumps row A, and the undirected weight of {A, B} is
+// m[A][B] + m[B][A]. The table costs n^2 * 4 bytes, so callers pass a pruned
+// profile trace (the suite's largest has 4126 distinct blocks before
+// pruning, 4000 after); builds above kMaxTrgNodes distinct symbols are
+// rejected before the table is allocated.
 //
-// Construction shards across the pool when TrgConfig.pool is set: the capped
-// stack's state at any position is the maximal weight-<=cap prefix of the
-// last-occurrence order of the preceding events (bounded history), so each
-// worker reconstructs the exact serial stack at its chunk boundary with a
-// backward scan, emits edges only for its own chunk, and the partial edge
-// maps merge by weight addition — an exact decomposition, bit-identical to
-// the serial build.
+// The finished graph is flat: the count table folds into one
+// open-addressing table keyed by the packed (lo, hi) pair, and neighbors()
+// reads a CSR adjacency built from that table, so both edges_by_weight() and
+// the reduction's neighbor scans walk contiguous memory.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -34,22 +35,15 @@
 
 namespace codelayout {
 
-class ThreadPool;
+/// Most distinct symbols Trg::build accepts: the n x n u32 count table is
+/// 256 MiB at the cap.
+inline constexpr std::size_t kMaxTrgNodes = 8192;
 
 struct TrgConfig {
   /// Footprint cap of the co-occurrence window, in code blocks. The paper's
   /// 2C bytes with uniform block size S gives 2C/S entries; see
   /// trg_window_entries().
   std::uint32_t window_entries = 1024;
-
-  /// Optional shared worker pool for the sharded build. Non-owning;
-  /// nullptr = serial unless `shards` forces a decomposition.
-  ThreadPool* pool = nullptr;
-
-  /// Shard count override: 0 = auto (pool width + the calling thread, or 1
-  /// without a pool). Any value yields the identical graph; tests use small
-  /// forced counts to pin chunk-boundary behaviour.
-  std::uint32_t shards = 0;
 };
 
 /// Entries of the 2C-byte window under the uniform-block-size assumption.
@@ -66,6 +60,8 @@ class Trg {
  public:
   using Weight = std::uint64_t;
 
+  /// Builds the graph of `trace`, which must hold at most kMaxTrgNodes
+  /// distinct symbols (pass a pruned profile trace).
   static Trg build(const Trace& trace, const TrgConfig& config = {});
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
@@ -108,7 +104,7 @@ class Trg {
   std::vector<std::uint32_t> node_index_;  ///< symbol -> position in nodes_
   FlatKeyMap<Weight> edges_;   ///< packed (lo, hi) pair -> weight
 
-  /// CSR adjacency derived from edges_, indexed by node position.
+  /// CSR adjacency over edges_, indexed by node position.
   mutable bool adjacency_valid_ = false;
   mutable std::vector<std::uint32_t> adj_offsets_;
   mutable std::vector<Neighbor> adj_;

@@ -10,6 +10,7 @@
 #include "cache/icache_sim.hpp"
 #include "locality/footprint.hpp"
 #include "locality/reuse.hpp"
+#include "support/rng.hpp"
 #include "trace/trace.hpp"
 #include "trg/graph.hpp"
 
@@ -25,6 +26,23 @@ inline Trace make_trace(std::initializer_list<Symbol> symbols) {
 inline Trace make_trace(const std::vector<Symbol>& symbols) {
   Trace t(Trace::Granularity::kBlock);
   for (Symbol s : symbols) t.push_symbol(s);
+  return t;
+}
+
+/// Zipf-skewed random trace with bursts, the shape the real workloads
+/// produce: hot symbols recur, and a burst repeats one symbol up to six
+/// times in a row.
+inline Trace random_trace(std::uint64_t seed, std::size_t events,
+                          Symbol space, double burstiness = 0.3) {
+  Rng rng(seed);
+  Trace t(Trace::Granularity::kBlock);
+  while (t.size() < events) {
+    const Symbol s = static_cast<Symbol>(rng.zipf(space, 0.8));
+    const std::uint64_t run = 1 + (rng.chance(burstiness) ? rng.below(6) : 0);
+    for (std::uint64_t i = 0; i < run && t.size() < events; ++i) {
+      t.push_symbol(s);
+    }
+  }
   return t;
 }
 

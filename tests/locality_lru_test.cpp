@@ -153,66 +153,5 @@ TEST_P(LruStackPropertyTest, MatchesReferenceModel) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LruStackPropertyTest,
                          ::testing::Values(1, 2, 3, 17, 99));
 
-// ---------- snapshot / restore ---------------------------------------------
-
-TEST(LruStackSnapshot, RoundTripsExactState) {
-  LruStack stack(8);
-  for (Symbol s : {3u, 1u, 4u, 1u, 5u}) stack.touch(s);
-  const std::vector<Symbol> snap = stack.snapshot();
-  EXPECT_EQ(snap, (std::vector<Symbol>{5, 1, 4, 3}));  // topmost first
-
-  LruStack copy(8);
-  copy.touch(7);  // restore must discard prior state
-  copy.restore(snap);
-  EXPECT_EQ(copy.snapshot(), snap);
-  EXPECT_EQ(copy.resident_count(), stack.resident_count());
-  EXPECT_EQ(copy.resident_weight(), stack.resident_weight());
-  EXPECT_EQ(copy.top(), stack.top());
-}
-
-TEST(LruStackSnapshot, RestoredStackEvolvesLikeTheOriginal) {
-  // The sharded TRG build's contract: a stack restored at a cut point must
-  // be indistinguishable from the serial stack from then on, under the same
-  // touch + evict_to_weight schedule.
-  Rng rng(77);
-  constexpr Symbol kSpace = 48;
-  constexpr std::uint64_t kCap = 12;
-  LruStack serial(kSpace);
-  std::vector<Symbol> events;
-  for (int i = 0; i < 3'000; ++i) {
-    events.push_back(static_cast<Symbol>(rng.zipf(kSpace, 0.7)));
-  }
-  for (std::size_t cut : {std::size_t{0}, std::size_t{5}, std::size_t{700},
-                          std::size_t{2'999}}) {
-    serial.clear();
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      if (i == cut) {
-        LruStack resumed(kSpace);
-        resumed.restore(serial.snapshot());
-        for (std::size_t j = cut; j < events.size(); ++j) {
-          resumed.touch(events[j]);
-          resumed.evict_to_weight(kCap);
-        }
-        LruStack straight(kSpace);
-        for (const Symbol s : events) {
-          straight.touch(s);
-          straight.evict_to_weight(kCap);
-        }
-        ASSERT_EQ(resumed.snapshot(), straight.snapshot()) << "cut " << cut;
-      }
-      serial.touch(events[i]);
-      serial.evict_to_weight(kCap);
-    }
-  }
-}
-
-TEST(LruStackSnapshot, RestoreEmptyClears) {
-  LruStack stack(4);
-  stack.touch(2);
-  stack.restore({});
-  EXPECT_EQ(stack.resident_count(), 0u);
-  EXPECT_EQ(stack.snapshot(), std::vector<Symbol>{});
-}
-
 }  // namespace
 }  // namespace codelayout

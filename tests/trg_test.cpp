@@ -1,8 +1,13 @@
 #include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "locality/lru_stack.hpp"
+#include "support/flat_map.hpp"
 #include "support/rng.hpp"
 #include "trg/graph.hpp"
 #include "trg/reduction.hpp"
@@ -11,6 +16,7 @@ namespace codelayout {
 namespace {
 
 using testing::make_trace;
+using testing::random_trace;
 
 // ---------- construction (Definition 6) --------------------------------------
 
@@ -85,6 +91,106 @@ TEST(TrgBuild, EdgesByWeightSortedDeterministically) {
 TEST(TrgBuild, NeighborsThrowsForUnknown) {
   const Trg g = Trg::build(make_trace({1, 2, 1}));
   EXPECT_THROW((void)g.neighbors(42), ContractError);
+}
+
+TEST(TrgBuild, RejectsMoreDistinctSymbolsThanTheCap) {
+  std::vector<Symbol> symbols(kMaxTrgNodes + 1);
+  for (std::size_t i = 0; i < symbols.size(); ++i) {
+    symbols[i] = static_cast<Symbol>(i);
+  }
+  EXPECT_THROW((void)Trg::build(make_trace(symbols)), ContractError);
+}
+
+// ---------- dense build vs the longhand Definition 6 ------------------------
+
+/// Definition 6 written out: the capped LRU stack over the raw symbols, and
+/// one hash-table increment per (reused block, block above it) pair.
+struct ReferenceTrg {
+  std::vector<Symbol> nodes;  ///< first-appearance order
+  FlatKeyMap<Trg::Weight> edges;  ///< packed (lo, hi) -> weight
+};
+
+ReferenceTrg reference_trg(const Trace& trace, std::uint32_t window_entries) {
+  ReferenceTrg ref;
+  const Symbol space = trace.symbol_space();
+  std::vector<std::uint8_t> noted(space, 0);
+  LruStack stack(space);
+  for (const Symbol a : trace.symbols()) {
+    if (!noted[a]) {
+      noted[a] = 1;
+      ref.nodes.push_back(a);
+    }
+    if (stack.resident(a)) {
+      stack.for_above(a, [&](Symbol b) {
+        const std::uint64_t lo = std::min(a, b);
+        const std::uint64_t hi = std::max(a, b);
+        ref.edges[(lo << 32) | hi] += 1;
+        return true;
+      });
+    }
+    stack.touch(a);
+    stack.evict_to_weight(window_entries);
+  }
+  return ref;
+}
+
+void expect_matches_reference(const Trace& trace) {
+  for (const std::uint32_t window : {8u, 16u, 64u, 1024u}) {
+    SCOPED_TRACE(window);
+    const Trg dense = Trg::build(trace, TrgConfig{.window_entries = window});
+    const ReferenceTrg ref = reference_trg(trace, window);
+    ASSERT_EQ(std::vector<Symbol>(dense.nodes().begin(), dense.nodes().end()),
+              ref.nodes);
+    // Equal counts plus every reference edge present with its weight: the
+    // edge sets are equal.
+    ASSERT_EQ(dense.edge_count(), ref.edges.size());
+    std::map<Symbol, std::vector<std::pair<Symbol, Trg::Weight>>> adjacency;
+    ref.edges.for_each([&](std::uint64_t key, const Trg::Weight& w) {
+      const auto lo = static_cast<Symbol>(key >> 32);
+      const auto hi = static_cast<Symbol>(key & 0xffffffffu);
+      EXPECT_EQ(dense.edge_weight(lo, hi), w) << lo << "-" << hi;
+      adjacency[lo].emplace_back(hi, w);
+      adjacency[hi].emplace_back(lo, w);
+    });
+    // Every node's CSR slice: sorted by neighbor symbol, reference weights.
+    for (const Symbol s : dense.nodes()) {
+      std::vector<std::pair<Symbol, Trg::Weight>>& expected = adjacency[s];
+      std::sort(expected.begin(), expected.end());
+      std::vector<std::pair<Symbol, Trg::Weight>> actual;
+      for (const Trg::Neighbor& nb : dense.neighbors(s)) {
+        actual.emplace_back(nb.to, nb.weight);
+      }
+      ASSERT_EQ(actual, expected) << "node " << s;
+    }
+  }
+}
+
+TEST(TrgReference, RandomTracesMatchEdgeForEdge) {
+  for (const std::uint64_t seed : {23u, 37u}) {
+    SCOPED_TRACE(seed);
+    expect_matches_reference(random_trace(seed, 8'000, 120));
+  }
+}
+
+TEST(TrgReference, LongRepeatBurstsMatch) {
+  expect_matches_reference(random_trace(41, 12'000, 40, /*burstiness=*/0.9));
+}
+
+TEST(TrgReference, ShortTraceUnderAWideWindowMatches) {
+  expect_matches_reference(random_trace(53, 400, 30));
+}
+
+TEST(TrgReference, TinyTraceMatches) {
+  expect_matches_reference(make_trace({1, 2, 1, 3}));
+}
+
+TEST(TrgReference, SparseSymbolValuesAreRenumbered) {
+  // Symbols 0, 1000, 2000, ...: the dense table indexes first-appearance
+  // positions, so it stays n x n while the symbol space is 1000x larger.
+  const Trace dense_symbols = random_trace(23, 8'000, 120);
+  Trace sparse(Trace::Granularity::kBlock);
+  for (const Symbol s : dense_symbols.symbols()) sparse.push_symbol(s * 1000);
+  expect_matches_reference(sparse);
 }
 
 // ---------- geometry helpers -------------------------------------------------
