@@ -41,6 +41,7 @@
 #include "affinity/analysis.hpp"
 #include "affinity/naive.hpp"
 #include "cache/icache_sim.hpp"
+#include "cache/set_assoc.hpp"
 #include "support/cli.hpp"
 #include "exec/interpreter.hpp"
 #include "harness/pipeline.hpp"
@@ -314,7 +315,7 @@ SimResult per_event_solo(const Module& module, const CodeLayout& layout,
       ++stats.line_probes;
       if (!cache.access(line)) {
         ++stats.demand_misses;
-        if (options.next_line_prefetch) cache.prefill(line + 1);
+        if (options.next_line_prefetch) cache.access(line + 1);
       }
     }
     if (options.wrong_path_rate > 0.0 && bb.successors.size() > 1 &&

@@ -20,15 +20,27 @@ struct CacheGeometry {
     return lines() / associativity;
   }
 
-  /// Rejects any geometry the set-indexed cache cannot represent; the
-  /// power-of-two set-count requirement lives here (not in SetAssocCache
-  /// construction) so an invalid sweep point fails at validation with a
-  /// message naming the bad value.
+  /// The widest set a cache may have: every probe of a cache wider than
+  /// four ways scans its set linearly.
+  static constexpr std::uint32_t kMaxAssociativity = 1024;
+  /// The most lines a cache may hold (64 MiB at 64 B lines): the simulator
+  /// allocates every way up front, once per simulation.
+  static constexpr std::uint64_t kMaxLines = std::uint64_t{1} << 20;
+
+  /// Rejects any geometry the set-indexed cache cannot represent, or whose
+  /// simulation would be unbounded in memory or probe time; the checks live
+  /// here (not in SetAssocCache construction) so an invalid sweep point or
+  /// wire request fails at validation with a message naming the bad value.
   void validate() const {
     CL_CHECK(line_bytes > 0 && associativity > 0);
+    CL_CHECK_MSG(associativity <= kMaxAssociativity,
+                 "associativity " << associativity << " exceeds "
+                                  << kMaxAssociativity << " ways");
     CL_CHECK_MSG(size_bytes % (static_cast<std::uint64_t>(line_bytes) *
                                associativity) == 0,
                  "cache size not divisible into sets");
+    CL_CHECK_MSG(lines() <= kMaxLines,
+                 "cache of " << lines() << " lines exceeds " << kMaxLines);
     CL_CHECK(sets() > 0);
     CL_CHECK_MSG((sets() & (sets() - 1)) == 0,
                  "set count must be a power of two (size / (line * assoc) = "

@@ -129,7 +129,7 @@ CacheGeometry parse_geometry(std::string_view text) {
   const std::uint64_t assoc =
       parse_number(text.substr(first + 1, second - first - 1), "assoc");
   const std::uint64_t line = parse_number(text.substr(second + 1), "line");
-  CL_CHECK_MSG(assoc > 0 && assoc <= 1024, "geometry: assoc out of range");
+  CL_CHECK_MSG(assoc <= ~std::uint32_t{0}, "geometry: assoc out of range");
   CL_CHECK_MSG(line > 0 && line <= (1u << 20), "geometry: line out of range");
   geom.associativity = static_cast<std::uint32_t>(assoc);
   geom.line_bytes = static_cast<std::uint32_t>(line);
@@ -214,25 +214,6 @@ HierarchySpec parse_hierarchy(std::string_view text) {
   }
   spec.validate();
   return spec;
-}
-
-CacheHierarchy::CacheHierarchy(const HierarchySpec& spec, std::size_t parties)
-    : spec_(spec) {
-  CL_CHECK_MSG(parties >= 1, "cache hierarchy needs >= 1 party");
-  spec_.validate();
-  if (spec_.l2) {
-    l2_ = std::make_unique<CacheLevel>(*spec_.l2, spec_.l2_hit_cycles);
-    // Sharing moves to the L2: every party fronts with a private L1.
-    fronts_.reserve(parties);
-    for (std::size_t i = 0; i < parties; ++i) {
-      fronts_.push_back(std::make_unique<CacheLevel>(
-          spec_.l1, spec_.l1_hit_cycles, l2_.get()));
-    }
-  } else {
-    // Flat: the parties share the single L1, the paper's SMT model.
-    fronts_.push_back(
-        std::make_unique<CacheLevel>(spec_.l1, spec_.l1_hit_cycles));
-  }
 }
 
 }  // namespace codelayout

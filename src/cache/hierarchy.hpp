@@ -2,37 +2,26 @@
 //
 // The paper evaluates one fixed geometry — a flat private 32 KB / 4-way /
 // 64 B L1I — but modern SMT sharing happens at L2/L3. This header makes the
-// hierarchy a first-class parameter:
+// hierarchy a first-class parameter: HierarchySpec is the declarative shape
+// (private L1I → optional shared L2 → memory) plus per-level latencies for
+// AMAT accounting. Validated, canonically encodable, hashable, and
+// orderable, so it can ride inside EvalKeys, response-cache keys, and the
+// service wire protocol. The default-constructed spec is exactly the paper's
+// flat L1I: every layer that threads a spec through defaults to it, keeping
+// the golden suite byte-identical.
 //
-//   * HierarchySpec — the declarative shape (private L1I → optional shared
-//     L2 → memory) plus per-level latencies for AMAT accounting. Validated,
-//     canonically encodable, hashable, and orderable, so it can ride inside
-//     EvalKeys, response-cache keys, and the service wire protocol. The
-//     default-constructed spec is exactly the paper's flat L1I: every layer
-//     that threads a spec through defaults to it, keeping the golden suite
-//     byte-identical.
-//   * CacheLevel — one level of the materialized hierarchy: a SetAssocCache
-//     plus a next_level pointer (at most one level below). access() chains
-//     a miss to the next level and reports the hit depth; prefill() on a
-//     resident line is a pure recency touch of this level only; contains()
-//     probes this level only. Per-level hit/miss/evict counters and AMAT
-//     come from the underlying cache.
-//   * CacheHierarchy — the runtime instantiation for one simulation: under a
-//     flat spec all parties share the single L1 (the paper's SMT model);
-//     with an L2 present each party gets a private L1 front and sharing
-//     moves to the L2.
+// The simulators (icache_sim.cpp) materialize a spec themselves: under a
+// flat spec all parties share the single L1 (the paper's SMT model); with an
+// L2 present each party gets a private L1 and sharing moves to the L2.
 #pragma once
 
 #include <compare>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "cache/geometry.hpp"
-#include "cache/set_assoc.hpp"
 
 namespace codelayout {
 
@@ -85,107 +74,5 @@ inline const HierarchySpec kPaperHierarchy{};
 /// Parses the to_string() form: "L1GEOM" or "L1GEOM+l2=L2GEOM". Throws
 /// ContractError on malformed text (latencies keep their defaults).
 [[nodiscard]] HierarchySpec parse_hierarchy(std::string_view text);
-
-/// One level of a materialized hierarchy (modeled on simCache: a cache, a
-/// next_level pointer, chained miss handling, AMAT). Not copyable — levels
-/// reference each other by pointer.
-class CacheLevel {
- public:
-  explicit CacheLevel(const CacheGeometry& geom, double hit_cycles = 1.0,
-                      CacheLevel* next = nullptr)
-      : cache_(geom), hit_cycles_(hit_cycles), next_(next) {
-    CL_CHECK_MSG(next == nullptr || next->next_ == nullptr,
-                 "cache chains are at most two levels deep");
-  }
-
-  CacheLevel(const CacheLevel&) = delete;
-  CacheLevel& operator=(const CacheLevel&) = delete;
-
-  /// Touches `line`, chaining a miss to the next level. Returns the hit
-  /// depth: 0 = hit here, 1 = missed here and hit (or installed from) the
-  /// next level, 2 = missed both and went to memory. Every traversed level
-  /// installs the line. Chains are at most two deep (HierarchySpec has no
-  /// L3), so the chain is walked inline rather than by recursion.
-  std::uint32_t access(std::uint64_t line) {
-    if (cache_.access(line)) return 0;
-    if (next_ == nullptr) return 1;
-    return next_->cache_.access(line) ? 1 : 2;
-  }
-
-  /// Prefetch fill (uncounted). A resident line is a pure recency touch of
-  /// this level — no downstream traffic. A missing line installs here and
-  /// prefills the level below. Returns true if the line was resident here.
-  bool prefill(std::uint64_t line) {
-    if (cache_.prefill(line)) return true;
-    if (next_ != nullptr) next_->cache_.prefill(line);
-    return false;
-  }
-
-  /// Residency probe of this level only (no recency update, no chaining).
-  [[nodiscard]] bool contains(std::uint64_t line) const {
-    return cache_.contains(line);
-  }
-
-  // Per-level counters (counted accesses only; prefills are invisible).
-  [[nodiscard]] std::uint64_t accesses() const { return cache_.accesses(); }
-  [[nodiscard]] std::uint64_t hits() const {
-    return cache_.accesses() - cache_.misses();
-  }
-  [[nodiscard]] std::uint64_t misses() const { return cache_.misses(); }
-  [[nodiscard]] std::uint64_t evictions() const { return cache_.evictions(); }
-  [[nodiscard]] double miss_ratio() const { return cache_.miss_ratio(); }
-
-  /// Average memory access time seen at this level: hit latency plus the
-  /// local miss ratio times the next level's AMAT (`memory_cycles` closes
-  /// the recursion past the last level).
-  [[nodiscard]] double amat(double memory_cycles) const {
-    return hit_cycles_ +
-           miss_ratio() * (next_ != nullptr ? next_->amat(memory_cycles)
-                                            : memory_cycles);
-  }
-
-  [[nodiscard]] double hit_cycles() const { return hit_cycles_; }
-  [[nodiscard]] CacheLevel* next() const { return next_; }
-  [[nodiscard]] const CacheGeometry& geometry() const {
-    return cache_.geometry();
-  }
-  [[nodiscard]] const SetAssocCache& cache() const { return cache_; }
-  /// The level's cache itself, for simulators that walk the chain with the
-  /// hierarchy's shape fixed at compile time.
-  [[nodiscard]] SetAssocCache& cache() { return cache_; }
-
-  void reset_stats() { cache_.reset_stats(); }
-  /// Empties this level only (counters preserved, like SetAssocCache).
-  void flush() { cache_.flush(); }
-
- private:
-  SetAssocCache cache_;
-  double hit_cycles_;
-  CacheLevel* next_;
-};
-
-/// The materialized cache state for one simulation over `parties` co-running
-/// fetch streams. Flat spec: one shared L1 (every front(i) is the same
-/// level) — exactly the paper's SMT-shared-L1I model. Multi-level spec:
-/// private per-party L1 fronts all chained to one shared L2.
-class CacheHierarchy {
- public:
-  explicit CacheHierarchy(const HierarchySpec& spec, std::size_t parties = 1);
-
-  /// The fetch-side entry level for `party`.
-  [[nodiscard]] CacheLevel& front(std::size_t party) {
-    return *fronts_[fronts_.size() == 1 ? 0 : party];
-  }
-  /// The shared L2, or nullptr for a flat hierarchy.
-  [[nodiscard]] CacheLevel* shared_level() const { return l2_.get(); }
-  [[nodiscard]] const HierarchySpec& spec() const { return spec_; }
-  /// Number of distinct front levels (1 when flat — shared by all parties).
-  [[nodiscard]] std::size_t front_count() const { return fronts_.size(); }
-
- private:
-  HierarchySpec spec_;
-  std::unique_ptr<CacheLevel> l2_;  // built first so fronts can chain to it
-  std::vector<std::unique_ptr<CacheLevel>> fronts_;
-};
 
 }  // namespace codelayout

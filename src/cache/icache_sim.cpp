@@ -1,5 +1,8 @@
 #include "cache/icache_sim.hpp"
 
+#include <optional>
+
+#include "cache/set_assoc.hpp"
 #include "support/registry.hpp"
 #include "support/rng.hpp"
 #include "support/trace_recorder.hpp"
@@ -23,6 +26,27 @@ struct Stream {
   SimResult stats;
 };
 
+/// The cache state of one simulation over `parties` fetch streams. A flat
+/// spec has one L1 that every stream shares (the paper's SMT model); with an
+/// L2 each stream gets a private L1 and all of them share the L2. Built
+/// whole before any Stream points into it, and never resized or moved after.
+struct Caches {
+  std::vector<SetAssocCache> l1;
+  std::optional<SetAssocCache> l2;
+
+  Caches(const HierarchySpec& spec, std::size_t parties) {
+    spec.validate();
+    if (spec.l2) l2.emplace(*spec.l2);
+    l1.assign(spec.multi_level() ? parties : 1, SetAssocCache(spec.l1));
+  }
+  Caches(const Caches&) = delete;
+  Caches& operator=(const Caches&) = delete;
+
+  SetAssocCache& front(std::size_t party) {
+    return l1[l1.size() == 1 ? 0 : party];
+  }
+};
+
 /// What every stream of one simulation shares.
 struct Shared {
   SetAssocCache* l2 = nullptr;  ///< the shared L2; null for a flat spec
@@ -32,7 +56,7 @@ struct Shared {
 
 Stream make_stream(const FetchPlan& plan, const Trace& trace,
                    std::uint64_t line_namespace, const SimOptions& options,
-                   std::uint64_t rng_stream, CacheLevel& front) {
+                   std::uint64_t rng_stream, SetAssocCache& l1) {
   CL_CHECK(trace.is_block());
   CL_CHECK(!trace.empty());
   CL_CHECK_MSG(plan.line_bytes() == options.hierarchy.l1.line_bytes,
@@ -43,15 +67,14 @@ Stream make_stream(const FetchPlan& plan, const Trace& trace,
   s.plan = plan.blocks().data();
   s.symbols = trace.symbols();
   s.base = line_namespace;
-  s.l1 = &front.cache();
+  s.l1 = &l1;
   s.rng = Rng(options.seed).fork(rng_stream);
   return s;
 }
 
-Shared shared_state(CacheHierarchy& hier, const SimOptions& options,
+Shared shared_state(Caches& caches, const SimOptions& options,
                    double miss_stall) {
-  CacheLevel* l2 = hier.shared_level();
-  return Shared{l2 != nullptr ? &l2->cache() : nullptr,
+  return Shared{caches.l2 ? &*caches.l2 : nullptr,
                 Bernoulli(options.wrong_path_rate), miss_stall};
 }
 
@@ -86,8 +109,8 @@ struct Kernel {
       }
       s.stall += sh.miss_stall;
       if constexpr (kPrefetch) {
-        if (!s.l1->prefill(line + 1)) {
-          if constexpr (kL2) sh.l2->prefill(line + 1);
+        if (!s.l1->access(line + 1)) {
+          if constexpr (kL2) sh.l2->access(line + 1);
         }
       }
     }
@@ -182,17 +205,18 @@ std::vector<SimResult> run_corun(std::span<const CorunSpec::Party> parties,
                "relative to");
 
   const std::size_t P = parties.size();
-  CacheHierarchy hier(options.hierarchy, P);
+  Caches caches(options.hierarchy, P);
   std::vector<Stream> streams;
   streams.reserve(P);
   for (std::size_t i = 0; i < P; ++i) {
     // Disjoint line-id namespaces: P address spaces sharing one cache.
     streams.push_back(make_stream(*parties[i].plan, *parties[i].trace,
                                   static_cast<std::uint64_t>(i) << 40, options,
-                                  /*rng_stream=*/i + 1, hier.front(i)));
+                                  /*rng_stream=*/i + 1, caches.front(i)));
     streams.back().speed = parties[i].speed;
   }
-  const Shared shared = shared_state(hier, options, options.miss_stall_blocks);
+  const Shared shared =
+      shared_state(caches, options, options.miss_stall_blocks);
 
   CorunStats stats;
   stats.rounds = with_kernel(options, [&](auto kernel) {
@@ -247,11 +271,11 @@ SimResult simulate_solo(const FetchPlan& plan, const Trace& trace,
                         const SimOptions& options) {
   CODELAYOUT_PHASE("icache_solo", "cache", "cache.icache_solo.wall_ns",
                    {"events", std::uint64_t{trace.size()}});
-  CacheHierarchy hier(options.hierarchy);
+  Caches caches(options.hierarchy, /*parties=*/1);
   // Solo: namespace 0 and RNG stream 1, exactly co-run party 0's.
   Stream stream = make_stream(plan, trace, /*line_namespace=*/0, options,
-                              /*rng_stream=*/1, hier.front(0));
-  const Shared shared = shared_state(hier, options, /*miss_stall=*/0.0);
+                              /*rng_stream=*/1, caches.front(0));
+  const Shared shared = shared_state(caches, options, /*miss_stall=*/0.0);
   with_kernel(options, [&](auto kernel) {
     decltype(kernel)::solo(stream, shared);
   });

@@ -33,7 +33,6 @@
 #include "cache/fetch_plan.hpp"
 #include "cache/geometry.hpp"
 #include "cache/hierarchy.hpp"
-#include "cache/set_assoc.hpp"
 #include "ir/module.hpp"
 #include "layout/layout.hpp"
 #include "trace/trace.hpp"

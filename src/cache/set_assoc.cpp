@@ -1,7 +1,5 @@
 #include "cache/set_assoc.hpp"
 
-#include <bit>
-
 namespace codelayout {
 namespace {
 
@@ -10,97 +8,23 @@ namespace {
 // stay at the tail).
 constexpr std::uint8_t kIdentityOrder = 0b11'10'01'00;
 
-// The 16-nibble identity permutation for the wide representation: position p
-// holds way p. Tail nibbles (>= assoc) keep values >= assoc forever — only
-// positions <= assoc-1 are ever promoted — so they can never shadow a real
-// way in the nibble match.
-constexpr std::uint64_t kIdentityOrderWide = 0xfedcba9876543210ull;
-
 }  // namespace
 
-SetAssocCache::Set4 SetAssocCache::empty_set4() {
-  return Set4{{kEmpty, kEmpty, kEmpty, kEmpty}, 0, kIdentityOrder};
-}
-
-SetAssocCache::SetAssocCache(const CacheGeometry& geom) : geom_(geom) {
-  geom_.validate();  // includes the power-of-two set-count requirement
-  set_mask_ = geom_.sets() - 1;
-  assoc_ = geom_.associativity;
-  repr_ = assoc_ <= kPackedMaxAssoc        ? Repr::kPacked4
-          : assoc_ <= kPackedWideMaxAssoc  ? Repr::kPackedWide
-                                           : Repr::kGeneric;
-  if (repr_ == Repr::kPacked4) {
-    sets4_.assign(geom_.sets(), empty_set4());
-    return;
-  }
-  ways_.assign(geom_.sets() * assoc_, kEmpty);
-  if (repr_ == Repr::kPackedWide) {
-    words_ = (assoc_ + 7) / 8;
-    partial_.assign(geom_.sets() * words_, 0);
-    order16_.assign(geom_.sets(), kIdentityOrderWide);
+SetAssocCache::SetAssocCache(const CacheGeometry& geom) {
+  geom.validate();  // includes the power-of-two set-count requirement
+  set_mask_ = geom.sets() - 1;
+  assoc_ = geom.associativity;
+  packed_ = assoc_ <= kPackedMaxAssoc;
+  if (packed_) {
+    sets4_.assign(geom.sets(),
+                  Set4{{kEmpty, kEmpty, kEmpty, kEmpty}, 0, kIdentityOrder});
+  } else {
+    ways_.assign(geom.sets() * assoc_, kEmpty);
   }
 }
 
-std::uint32_t SetAssocCache::wide_position(std::uint64_t perm,
-                                           std::uint32_t way) {
-  const std::uint64_t diff = perm ^ (kNibbleLsb * way);
-  const std::uint64_t flags = (diff - kNibbleLsb) & ~diff & kNibbleMsb;
-  return static_cast<std::uint32_t>(std::countr_zero(flags)) >> 2;
-}
-
-std::uint64_t SetAssocCache::wide_promote(std::uint64_t perm,
-                                          std::uint32_t way,
-                                          std::uint32_t pos) {
-  const std::uint32_t bit = 4 * pos;
-  const std::uint64_t below = perm & ((std::uint64_t{1} << bit) - 1);
-  const std::uint64_t above =
-      pos >= 15 ? 0 : (perm >> (bit + 4)) << (bit + 4);
-  return above | (below << 4) | way;
-}
-
-bool SetAssocCache::touch_packed_wide(std::uint64_t line, bool count) {
-  const std::uint64_t set = line & set_mask_;
-  std::uint64_t* tags = &ways_[set * assoc_];
-  std::uint64_t* lanes = &partial_[set * words_];
-  if (count) ++accesses_;
-  // Same zero-lane test as the 4-way path, at byte granularity across
-  // `words_` lane words; candidates confirm against the full tag.
-  const std::uint64_t pattern = kByteLsb * partial_tag8(line);
-  for (std::uint32_t w = 0; w < words_; ++w) {
-    const std::uint64_t diff = lanes[w] ^ pattern;
-    std::uint64_t cand = (diff - kByteLsb) & ~diff & kByteMsb;
-    while (cand != 0) {
-      const std::uint32_t lane =
-          8 * w + (static_cast<std::uint32_t>(std::countr_zero(cand)) >> 3);
-      if (lane < assoc_ && tags[lane] == line) {
-        std::uint64_t& perm = order16_[set];
-        perm = wide_promote(perm, lane, wide_position(perm, lane));
-        return true;
-      }
-      cand &= cand - 1;
-    }
-  }
-  // Miss: victim at the LRU position, exactly as the packed4 path (empty
-  // ways drain from the permutation tail before any real eviction).
-  if (count) ++misses_;
-  const std::uint64_t perm = order16_[set];
-  const std::uint32_t victim =
-      static_cast<std::uint32_t>(perm >> (4 * (assoc_ - 1))) & 0xfu;
-  if (tags[victim] != kEmpty) ++evictions_;
-  tags[victim] = line;
-  std::uint64_t& word = lanes[victim >> 3];
-  const std::uint32_t shift = 8 * (victim & 7u);
-  word = (word & ~(std::uint64_t{0xff} << shift)) |
-         (std::uint64_t{partial_tag8(line)} << shift);
-  order16_[set] = wide_promote(perm, victim, assoc_ - 1);
-  return false;
-}
-
-bool SetAssocCache::touch_generic(std::uint64_t line, bool count) {
-  const std::uint64_t set = line & set_mask_;
-  std::uint64_t* base = &ways_[set * assoc_];
-
-  if (count) ++accesses_;
+bool SetAssocCache::access_generic(std::uint64_t line) {
+  std::uint64_t* base = &ways_[(line & set_mask_) * assoc_];
   // Probe MRU-first; on hit rotate the prefix so the hit way becomes MRU.
   for (std::uint32_t i = 0; i < assoc_; ++i) {
     if (base[i] == line) {
@@ -110,59 +34,9 @@ bool SetAssocCache::touch_generic(std::uint64_t line, bool count) {
     }
   }
   // Miss: evict the LRU way (the last slot).
-  if (count) ++misses_;
-  if (base[assoc_ - 1] != kEmpty) ++evictions_;
   for (std::uint32_t j = assoc_ - 1; j > 0; --j) base[j] = base[j - 1];
   base[0] = line;
   return false;
-}
-
-bool SetAssocCache::contains(std::uint64_t line) const {
-  const std::uint64_t set = line & set_mask_;
-  if (repr_ == Repr::kPacked4) {
-    const Set4& s = sets4_[set];
-    const std::uint64_t diff = s.lanes ^ (kLaneLsb * partial_tag(line));
-    std::uint64_t cand = (diff - kLaneLsb) & ~diff & kLaneMsb;
-    while (cand != 0) {
-      const auto lane =
-          static_cast<std::uint32_t>(std::countr_zero(cand)) >> 4;
-      if (lane < assoc_ && s.tags[lane] == line) return true;
-      cand &= cand - 1;
-    }
-    return false;
-  }
-  const std::uint64_t* tags = &ways_[set * assoc_];
-  if (repr_ == Repr::kPackedWide) {
-    const std::uint64_t* lanes = &partial_[set * words_];
-    const std::uint64_t pattern = kByteLsb * partial_tag8(line);
-    for (std::uint32_t w = 0; w < words_; ++w) {
-      const std::uint64_t diff = lanes[w] ^ pattern;
-      std::uint64_t cand = (diff - kByteLsb) & ~diff & kByteMsb;
-      while (cand != 0) {
-        const std::uint32_t lane =
-            8 * w + (static_cast<std::uint32_t>(std::countr_zero(cand)) >> 3);
-        if (lane < assoc_ && tags[lane] == line) return true;
-        cand &= cand - 1;
-      }
-    }
-    return false;
-  }
-  for (std::uint32_t i = 0; i < assoc_; ++i) {
-    if (tags[i] == line) return true;
-  }
-  return false;
-}
-
-void SetAssocCache::flush() {
-  if (repr_ == Repr::kPacked4) {
-    sets4_.assign(sets4_.size(), empty_set4());
-    return;
-  }
-  ways_.assign(ways_.size(), kEmpty);
-  if (repr_ == Repr::kPackedWide) {
-    partial_.assign(partial_.size(), 0);
-    order16_.assign(order16_.size(), kIdentityOrderWide);
-  }
 }
 
 }  // namespace codelayout

@@ -1,8 +1,7 @@
 // Tests for composable cache hierarchies (DESIGN.md §13): the HierarchySpec
-// value type (validation, text and byte codecs, hashing), CacheLevel miss
-// chaining with per-level counters and AMAT, CacheHierarchy front sharing,
-// degenerate geometries, and the L2 attribution invariants of the solo and
-// co-run simulators.
+// value type (validation, text and byte codecs, hashing, the bounds on
+// hostile shapes) and the L2 attribution invariants of the solo and co-run
+// simulators.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -123,117 +122,28 @@ TEST(HierarchySpec, HashSeparatesDistinctSpecs) {
   EXPECT_NE(b.hash(), c.hash());  // latencies are part of the identity
 }
 
-// ---- CacheLevel: chaining, counters, AMAT -----------------------------------
-
-TEST(CacheLevel, AccessReportsHitDepthAndChainsMisses) {
-  // L1: one 2-way set; L2: one 8-way set. Same 64B lines.
-  CacheLevel l2(CacheGeometry{512, 8, 64}, 7.0);
-  CacheLevel l1(CacheGeometry{128, 2, 64}, 1.0, &l2);
-
-  EXPECT_EQ(l1.access(0), 2u);  // cold: missed both levels
-  EXPECT_EQ(l1.access(0), 0u);  // hit in L1
-  EXPECT_EQ(l1.access(1), 2u);
-  EXPECT_EQ(l1.access(2), 2u);  // evicts 0 from the 2-way L1, not from L2
-  EXPECT_EQ(l1.access(0), 1u);  // L1 miss, L2 hit
-  EXPECT_EQ(l1.contains(0), true);
-  EXPECT_EQ(l2.contains(1), true);  // still resident below
-
-  // Per-level counters: L2 sees only the L1's misses.
-  EXPECT_EQ(l1.accesses(), 5u);
-  EXPECT_EQ(l1.misses(), 4u);
-  EXPECT_EQ(l1.hits(), 1u);
-  EXPECT_EQ(l2.accesses(), 4u);
-  EXPECT_EQ(l2.misses(), 3u);
-  EXPECT_EQ(l2.hits(), 1u);
-}
-
-TEST(CacheLevel, PrefillOnResidentLineIsALocalRecencyTouch) {
-  CacheLevel l2(CacheGeometry{512, 8, 64}, 7.0);
-  CacheLevel l1(CacheGeometry{128, 2, 64}, 1.0, &l2);
-  l1.access(0);
-  l1.access(1);
-  const std::uint64_t l2_accesses = l2.accesses();
-  EXPECT_TRUE(l1.prefill(0));  // resident: recency only, nothing downstream
-  EXPECT_EQ(l2.accesses(), l2_accesses);
-  l1.access(2);                 // evicts 1 (prefill made 0 the MRU)
-  EXPECT_TRUE(l1.contains(0));
-  EXPECT_FALSE(l1.contains(1));
-
-  // A missing line installs here and below, without counting anywhere.
-  const std::uint64_t l1_accesses = l1.accesses();
-  EXPECT_FALSE(l2.contains(9));
-  EXPECT_FALSE(l1.prefill(9));
-  EXPECT_TRUE(l1.contains(9));
-  EXPECT_TRUE(l2.contains(9));
-  EXPECT_EQ(l1.accesses(), l1_accesses);
-}
-
-TEST(CacheLevel, AmatComposesAcrossTheChain) {
-  CacheLevel l2(CacheGeometry{512, 8, 64}, 7.0);
-  CacheLevel l1(CacheGeometry{128, 2, 64}, 1.0, &l2);
-  // Drive a stream with known ratios: 4 accesses, 2 L1 misses, 1 L2 miss.
-  l1.access(0);  // cold (L1 miss, L2 miss)
-  l1.access(0);  // L1 hit
-  l1.access(2);  // evicts nothing in L2; L1 install evicts nothing yet
-  l1.access(0);  // L1 hit
-  ASSERT_EQ(l1.accesses(), 4u);
-  ASSERT_EQ(l1.misses(), 2u);
-  ASSERT_EQ(l2.misses(), 2u);  // both L1 misses were cold in L2 too
-  // amat = 1 + mr1 * (7 + mr2 * 35) = 1 + 0.5 * (7 + 1.0 * 35) = 22.
-  EXPECT_DOUBLE_EQ(l1.amat(35.0), 22.0);
-  // A single level closes the recursion directly on memory_cycles.
-  CacheLevel flat(CacheGeometry{128, 2, 64}, 1.0);
-  flat.access(0);
-  flat.access(0);
-  EXPECT_DOUBLE_EQ(flat.amat(35.0), 1.0 + 0.5 * 35.0);
-}
-
-TEST(CacheLevel, DegenerateGeometriesStayExact) {
-  // 1 set x 1 way: every distinct line evicts the previous one.
-  CacheGeometry one_line{64, 1, 64};
-  ASSERT_NO_THROW(one_line.validate());
-  CacheLevel tiny(one_line);
-  EXPECT_EQ(tiny.access(0), 1u);
-  EXPECT_EQ(tiny.access(0), 0u);
-  EXPECT_EQ(tiny.access(1), 1u);
-  EXPECT_EQ(tiny.access(0), 1u);
-  EXPECT_EQ(tiny.evictions(), 2u);
-
-  // Direct-mapped (1-way, many sets): conflicts are per-set.
-  CacheLevel direct(CacheGeometry{256, 1, 64});  // 4 sets
-  EXPECT_EQ(direct.access(0), 1u);
-  EXPECT_EQ(direct.access(1), 1u);
-  EXPECT_EQ(direct.access(0), 0u);  // different sets do not conflict
-  EXPECT_EQ(direct.access(4), 1u);  // same set as 0: evicts it
-  EXPECT_EQ(direct.access(0), 1u);
-}
-
-// ---- CacheHierarchy: front sharing ------------------------------------------
-
-TEST(CacheHierarchy, FlatSpecSharesOneFrontAcrossParties) {
-  CacheHierarchy hier(HierarchySpec{}, /*parties=*/3);
-  EXPECT_EQ(hier.front_count(), 1u);
-  EXPECT_EQ(hier.shared_level(), nullptr);
-  EXPECT_EQ(&hier.front(0), &hier.front(2));  // the paper's shared L1I
-  hier.front(0).access(7);
-  EXPECT_TRUE(hier.front(2).contains(7));
-}
-
-TEST(CacheHierarchy, MultiLevelSpecGivesPrivateFrontsOverASharedL2) {
-  HierarchySpec spec;
-  spec.l2 = CacheGeometry{256 * 1024, 8, 64};
-  CacheHierarchy hier(spec, /*parties=*/3);
-  EXPECT_EQ(hier.front_count(), 3u);
-  ASSERT_NE(hier.shared_level(), nullptr);
-  EXPECT_NE(&hier.front(0), &hier.front(1));
-  for (std::size_t p = 0; p < 3; ++p) {
-    EXPECT_EQ(hier.front(p).next(), hier.shared_level());
+TEST(HierarchySpec, DecodeValidateRejectsHostileGeometries) {
+  // Shapes a wire request can carry whose set count is a power of two but
+  // whose simulation is unbounded: 2^34 sets would allocate a 1 TiB cache,
+  // one set of 2^20 ways would make every probe a 2^20-way scan.
+  for (const CacheGeometry& geom :
+       {CacheGeometry{std::uint64_t{1} << 40, 1, 64},
+        CacheGeometry{std::uint64_t{64} << 20, 1u << 20, 64}}) {
+    HierarchySpec hostile;
+    hostile.l1 = geom;
+    EXPECT_THROW(HierarchySpec::decode(hostile.encode()).validate(),
+                 ContractError)
+        << geom.to_string();
+    HierarchySpec hostile_l2;
+    hostile_l2.l2 = geom;
+    EXPECT_THROW(HierarchySpec::decode(hostile_l2.encode()).validate(),
+                 ContractError)
+        << geom.to_string();
   }
-  // A fill by one party lands in the shared L2 but not in a peer's L1.
-  hier.front(0).access(7);
-  EXPECT_TRUE(hier.shared_level()->contains(7));
-  EXPECT_FALSE(hier.front(1).contains(7));
-  EXPECT_EQ(hier.front(1).access(7), 1u);  // peer pulls it from the L2
+  // The bounds sit above every geometry the benches sweep.
+  EXPECT_NO_THROW((void)parse_hierarchy("16K/2/32+l2=2M/16/32"));
+  EXPECT_NO_THROW((CacheGeometry{std::uint64_t{64} << 20, 1024, 64}.validate()));
+  EXPECT_THROW((void)parse_geometry("64K/1025/64"), ContractError);
 }
 
 // ---- Simulator integration ---------------------------------------------------

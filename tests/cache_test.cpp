@@ -47,9 +47,6 @@ TEST(SetAssoc, ColdMissThenHit) {
   SetAssocCache c(tiny_cache());
   EXPECT_FALSE(c.access(0));
   EXPECT_TRUE(c.access(0));
-  EXPECT_EQ(c.accesses(), 2u);
-  EXPECT_EQ(c.misses(), 1u);
-  EXPECT_DOUBLE_EQ(c.miss_ratio(), 0.5);
 }
 
 TEST(SetAssoc, LruEvictionWithinSet) {
@@ -67,113 +64,13 @@ TEST(SetAssoc, DifferentSetsDoNotConflict) {
   SetAssocCache c(tiny_cache());
   for (std::uint64_t line = 0; line < 8; ++line) c.access(line);
   // 8 lines over 4 sets x 2 ways fit exactly.
-  c.reset_stats();
   for (std::uint64_t line = 0; line < 8; ++line) EXPECT_TRUE(c.access(line));
-  EXPECT_EQ(c.misses(), 0u);
-}
-
-TEST(SetAssoc, PrefillInstallsWithoutCounting) {
-  SetAssocCache c(tiny_cache());
-  EXPECT_FALSE(c.prefill(3));
-  EXPECT_EQ(c.accesses(), 0u);
-  EXPECT_EQ(c.misses(), 0u);
-  EXPECT_TRUE(c.access(3));
-}
-
-TEST(SetAssoc, FlushEmptiesCache) {
-  SetAssocCache c(tiny_cache());
-  c.access(1);
-  c.flush();
-  EXPECT_FALSE(c.access(1));
-}
-
-TEST(SetAssoc, ResetStatsZeroesCountersKeepsResidency) {
-  SetAssocCache c(tiny_cache());
-  c.access(0);
-  c.access(4);
-  ASSERT_EQ(c.accesses(), 2u);
-  ASSERT_EQ(c.misses(), 2u);
-  c.reset_stats();
-  EXPECT_EQ(c.accesses(), 0u);
-  EXPECT_EQ(c.misses(), 0u);
-  // Residency (and recency) untouched: both lines still hit.
-  EXPECT_TRUE(c.access(0));
-  EXPECT_TRUE(c.access(4));
-  EXPECT_EQ(c.misses(), 0u);
-}
-
-TEST(SetAssoc, FlushPreservesStats) {
-  SetAssocCache c(tiny_cache());
-  c.access(0);
-  c.access(0);
-  c.access(4);
-  ASSERT_EQ(c.accesses(), 3u);
-  ASSERT_EQ(c.misses(), 2u);
-  c.flush();
-  // flush() models a mid-measurement invalidation: ways empty, statistics
-  // intentionally keep covering the whole measurement window.
-  EXPECT_EQ(c.accesses(), 3u);
-  EXPECT_EQ(c.misses(), 2u);
-  EXPECT_FALSE(c.access(0));  // no longer resident
-  EXPECT_EQ(c.misses(), 3u);
-}
-
-TEST(SetAssoc, ContainsProbesWithoutPerturbing) {
-  SetAssocCache c(tiny_cache());
-  c.access(0);
-  c.access(4);  // set 0: MRU=4, LRU=0
-  EXPECT_TRUE(c.contains(0));
-  EXPECT_TRUE(c.contains(4));
-  EXPECT_FALSE(c.contains(8));
-  EXPECT_EQ(c.accesses(), 2u);  // contains() never counts
-  // contains(0) must not have promoted 0: installing 8 evicts the true LRU.
-  c.access(8);
-  EXPECT_FALSE(c.contains(0));
-  EXPECT_TRUE(c.contains(4));
-}
-
-TEST(SetAssoc, WidePathMatchesPackedSemantics) {
-  // Associativity 8 exceeds the 4-way packed representation; exercises the
-  // byte-tag wide path with the same true-LRU behaviour.
-  SetAssocCache c(CacheGeometry{/*size_bytes=*/1024, /*associativity=*/8,
-                                /*line_bytes=*/64});
-  // 2 sets x 8 ways. Fill set 0 with 8 lines, touch the oldest, add one.
-  for (std::uint64_t i = 0; i < 8; ++i) c.access(i * 2);  // even lines: set 0
-  EXPECT_TRUE(c.access(0));    // promote the oldest to MRU
-  EXPECT_FALSE(c.access(16));  // evicts line 2, not line 0
-  EXPECT_TRUE(c.contains(0));
-  EXPECT_FALSE(c.contains(2));
-  EXPECT_TRUE(c.access(4));
-}
-
-TEST(SetAssoc, PackedAndGenericAgreeOnRandomStream) {
-  // assoc 4 (packed) vs an 8-way generic cache can't be compared directly;
-  // instead drive packed assoc 2 against the same geometry's semantics via
-  // a pseudo-random line stream and check hit/miss equality with a model
-  // kept in recency order.
-  SetAssocCache c(tiny_cache());  // 4 sets x 2 ways: packed
-  std::vector<std::vector<std::uint64_t>> model(4);
-  std::uint64_t x = 88172645463325252ull;
-  for (int i = 0; i < 4000; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    const std::uint64_t line = x % 23;
-    const auto set = static_cast<std::size_t>(line & 3);
-    auto& ways = model[set];
-    const auto it = std::find(ways.begin(), ways.end(), line);
-    const bool model_hit = it != ways.end();
-    if (model_hit) ways.erase(it);
-    ways.insert(ways.begin(), line);
-    if (ways.size() > 2) ways.pop_back();
-    ASSERT_EQ(c.access(line), model_hit) << "event " << i << " line " << line;
-  }
 }
 
 /// Drives a SetAssocCache against a reference true-LRU model (per-set vectors
 /// kept in recency order) on a pseudo-random line stream. Hit/miss equality
 /// on every event under thrashing pins the eviction sequence exactly, so one
-/// helper validates all three internal representations.
+/// helper validates both internal representations.
 void drive_against_model(const CacheGeometry& geom,
                          std::uint64_t distinct_lines, int events) {
   SetAssocCache c(geom);
@@ -196,80 +93,41 @@ void drive_against_model(const CacheGeometry& geom,
   }
 }
 
-TEST(SetAssoc, PackedWide8WayAgreesWithModelLru) {
-  // 8 ways -> the byte-tag SWAR representation (one u64 word per set).
-  drive_against_model(CacheGeometry{4096, 8, 64}, 97, 8000);
-}
-
-TEST(SetAssoc, PackedWide16WayAgreesWithModelLru) {
-  // 16 ways -> two tag words per set, full nibble permutation.
-  drive_against_model(CacheGeometry{16384, 16, 64}, 331, 12000);
-}
-
-TEST(SetAssoc, PackedWideSingleSetFullAssocAgreesWithModelLru) {
-  // One fully-associative 16-way set: every access churns the same
-  // permutation word, the hardest case for the nibble promote.
-  drive_against_model(CacheGeometry{1024, 16, 64}, 23, 8000);
-}
-
-TEST(SetAssoc, PackedWidePartialWordAssocAgreesWithModelLru) {
-  // Associativity 5: lanes 5..7 of the tag word stay empty forever and the
-  // victim is read from nibble position assoc-1 = 4, not 7.
-  drive_against_model(CacheGeometry{1280, 5, 64}, 61, 8000);
-}
-
-TEST(SetAssoc, GenericAbovePackedWideAgreesWithModelLru) {
-  // 17 ways exceeds the widest packed representation.
-  drive_against_model(CacheGeometry{2176, 17, 64}, 61, 8000);
-}
-
-TEST(SetAssoc, NonDefaultLineSizesAgreeWithModelLru) {
-  // The set count derives from line_bytes; 32B and 128B lines shift it.
-  drive_against_model(CacheGeometry{2048, 8, 32}, 97, 8000);    // 8 sets
-  drive_against_model(CacheGeometry{8192, 4, 128}, 97, 8000);   // 16 sets
-  drive_against_model(CacheGeometry{4096, 16, 32}, 131, 8000);  // 8 sets
-}
-
-TEST(SetAssoc, PackedWideContainsAndPrefillDoNotPerturb) {
-  SetAssocCache c(CacheGeometry{1024, 16, 64});  // one 16-way set
-  for (std::uint64_t line = 0; line < 16; ++line) c.access(line);
-  EXPECT_TRUE(c.prefill(3));  // resident: pure recency touch, no counters
-  EXPECT_TRUE(c.contains(0));
-  c.access(16);                // evicts the true LRU
-  EXPECT_FALSE(c.contains(0));  // line 0 was LRU (prefill promoted 3, not 0)
-  EXPECT_TRUE(c.contains(3));
-  EXPECT_TRUE(c.contains(1));
-}
-
-TEST(SetAssoc, EvictionsCountReplacedLinesOnly) {
-  SetAssocCache c(tiny_cache());
-  // 3 lines cycling a 2-way set: the first two installs fill empty ways,
-  // every later miss replaces a victim.
-  for (int rep = 0; rep < 10; ++rep) {
-    for (std::uint64_t line : {0ull, 4ull, 8ull}) c.access(line);
+TEST(SetAssoc, AgreesWithModelLruAcrossShapes) {
+  struct Shape {
+    CacheGeometry geom;
+    std::uint64_t distinct_lines;  ///< ~1.5x capacity: a thrashing stream
+  };
+  // Up to 4 ways the cache takes the packed path, above it the recency
+  // array; the line size shifts the set count.
+  const Shape shapes[] = {
+      {{64, 1, 64}, 3},          // one line: every new line evicts
+      {{256, 1, 64}, 11},        // direct-mapped, 4 sets
+      {{512, 2, 64}, 23},        // 4 sets x 2 ways
+      {{768, 3, 64}, 19},        // 4 sets x 3 ways
+      {{8192, 4, 128}, 97},      // 16 sets, 128 B lines
+      {{1280, 5, 64}, 61},       // 4 sets x 5 ways
+      {{4096, 8, 64}, 97},       // 8 sets x 8 ways
+      {{2048, 8, 32}, 97},       // 8 sets, 32 B lines
+      {{16384, 16, 64}, 331},    // 16 sets x 16 ways
+      {{4096, 16, 32}, 131},     // 8 sets, 32 B lines
+      {{1024, 16, 64}, 23},      // one fully associative 16-way set
+      {{2176, 17, 64}, 61},      // 2 sets x 17 ways
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.geom.to_string());
+    drive_against_model(shape.geom, shape.distinct_lines, 8000);
   }
-  EXPECT_EQ(c.misses(), 30u);
-  EXPECT_EQ(c.evictions(), 28u);
-
-  // Same invariant on the wide and generic representations.
-  SetAssocCache wide(CacheGeometry{512, 8, 64});  // one 8-way set
-  for (std::uint64_t line = 0; line < 9; ++line) wide.access(line);
-  EXPECT_EQ(wide.misses(), 9u);
-  EXPECT_EQ(wide.evictions(), 1u);
-
-  SetAssocCache generic(CacheGeometry{1088, 17, 64});  // one 17-way set
-  for (std::uint64_t line = 0; line < 18; ++line) generic.access(line);
-  EXPECT_EQ(generic.misses(), 18u);
-  EXPECT_EQ(generic.evictions(), 1u);
 }
 
 TEST(SetAssoc, CyclicThrashInOneSet) {
   SetAssocCache c(tiny_cache());
   // 3 lines cycling through a 2-way set: LRU misses every time.
+  int misses = 0;
   for (int rep = 0; rep < 10; ++rep) {
-    for (std::uint64_t line : {0ull, 4ull, 8ull}) c.access(line);
+    for (std::uint64_t line : {0ull, 4ull, 8ull}) misses += !c.access(line);
   }
-  EXPECT_EQ(c.misses(), 30u);
+  EXPECT_EQ(misses, 30);
 }
 
 // ---------- simulation over layouts ------------------------------------------

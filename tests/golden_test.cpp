@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/icache_sim.hpp"
+#include "cache/set_assoc.hpp"
 #include "exec/interpreter.hpp"
 #include "harness/pipeline.hpp"
 #include "helpers.hpp"
@@ -299,7 +300,7 @@ SimResult reference_solo(const Module& module, const CodeLayout& layout,
       ++stats.line_probes;
       if (!cache.access(line)) {
         ++stats.demand_misses;
-        if (options.next_line_prefetch) cache.prefill(line + 1);
+        if (options.next_line_prefetch) cache.access(line + 1);
       }
     }
     if (options.wrong_path_rate > 0.0 && bb.successors.size() > 1 &&

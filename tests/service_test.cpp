@@ -1025,6 +1025,33 @@ TEST(ServiceSocket, GarbageFramesGetAnErrorResponseAndHangup) {
   server.shutdown();
 }
 
+TEST(ServiceSocket, HostileGeometryGetsAnErrorResponse) {
+  // Shapes with a power-of-two set count whose simulation is unbounded — 2^34
+  // sets (a 1 TiB cache), one set of 2^20 ways (a 2^20-way scan per probe) —
+  // fail validation at decode: the caller gets kError, no executor runs.
+  auto executor = std::make_unique<CountingExecutor>();
+  CountingExecutor& counter = *executor;
+  ServerConfig config;
+  config.workers = 1;
+  ServiceServer server(config, std::move(executor));
+  const std::string socket_path = "svc_hostile.sock";
+  server.listen_unix(socket_path);
+  for (const CacheGeometry& geom :
+       {CacheGeometry{std::uint64_t{1} << 40, 1, 64},
+        CacheGeometry{std::uint64_t{64} << 20, 1u << 20, 64}}) {
+    // The server hangs up after a payload it cannot decode: one client each.
+    ServiceClient client = ServiceClient::connect_unix(socket_path);
+    JobRequest request =
+        solo_request("429.mcf", kBBAffinity, Measure::kHardware);
+    request.hierarchy.l1 = geom;
+    const JobResponse response = client.call(request);
+    EXPECT_EQ(response.status, JobStatus::kError) << geom.to_string();
+    EXPECT_FALSE(response.error.empty());
+  }
+  server.shutdown();
+  EXPECT_EQ(counter.executed.load(), 0u);
+}
+
 // ---- Observability: v3 tail hardening, introspection, trace context ---------
 
 TEST(ServiceProtocol, TraceContextDoesNotPerturbTheCanonicalKey) {
